@@ -89,8 +89,7 @@ struct TempDir {
 ServerConfig base_config(const std::string& source) {
     ServerConfig cfg;
     cfg.endpoint = Endpoint::parse("tcp:127.0.0.1:0");
-    cfg.shards = 2;
-    cfg.shard_capacity = kInstances;
+    cfg.shard_capacity = 2 * kInstances;
     upgrade::CompileContext uctx;
     cfg.upgrade = std::move(uctx);
     cfg.model_source = source;

@@ -1,6 +1,6 @@
 // End-to-end serving benchmark: sustained TICK throughput and request
-// latency of sbd_serve over a real loopback TCP connection, across shard
-// and pool-size configurations.
+// latency of sbd_serve over a real loopback TCP connection, across pool
+// sizes.
 //
 // Before timing anything it verifies the serving invariant: outputs read
 // back over the wire are bit-identical to a direct single-threaded Engine
@@ -9,7 +9,7 @@
 // while the in-budget tenant's results stay untouched.
 //
 // Machine-readable output: BENCH_serve.json in the working directory, one
-// record per (shards, instances) cell. Gates (exit code): bit-exactness,
+// record per pool size. Gates (exit code): bit-exactness,
 // shed-rate > 0 for the over-budget tenant, and generous throughput /
 // latency floors chosen to catch order-of-magnitude regressions without
 // flaking on loaded CI machines.
@@ -39,7 +39,6 @@ using serve::ServerConfig;
 using serve::WireHandle;
 
 struct Cell {
-    std::size_t shards = 0;
     std::size_t instances = 0;
     std::size_t ticks = 0;
     double ticks_per_sec = 0.0; ///< closed-loop sustained TICK requests/sec
@@ -55,18 +54,16 @@ std::uint64_t percentile_ns(std::vector<std::uint64_t> v, double q) {
     return v[idx];
 }
 
-/// One server + one client, `instances` slots spread over `shards` shards.
+/// One server with room for `instances` (plus one spare slot) + one client.
 struct Harness {
-    Harness(const codegen::CompiledSystem& sys, const BlockPtr& root,
-            std::size_t shards, std::size_t instances, std::uint64_t tenant_cap = 0)
-        : server(sys, root, make_config(shards, instances, tenant_cap)), client(connect()) {}
+    Harness(const codegen::CompiledSystem& sys, const BlockPtr& root, std::size_t instances,
+            std::uint64_t tenant_cap = 0)
+        : server(sys, root, make_config(instances, tenant_cap)), client(connect()) {}
 
-    static ServerConfig make_config(std::size_t shards, std::size_t instances,
-                                    std::uint64_t tenant_cap) {
+    static ServerConfig make_config(std::size_t instances, std::uint64_t tenant_cap) {
         ServerConfig cfg;
         cfg.endpoint = Endpoint::parse("tcp:127.0.0.1:0");
-        cfg.shards = shards;
-        cfg.shard_capacity = (instances + shards - 1) / shards + 1;
+        cfg.shard_capacity = instances + 1;
         cfg.tenant_max_instances = tenant_cap;
         return cfg;
     }
@@ -87,8 +84,7 @@ struct Harness {
 
 /// Served outputs == direct single-threaded Engine outputs, bitwise, with
 /// per-instance seeded inputs re-posted every instant.
-bool verify_bit_exact(const codegen::CompiledSystem& sys, const BlockPtr& root,
-                      std::size_t shards) {
+bool verify_bit_exact(const codegen::CompiledSystem& sys, const BlockPtr& root) {
     const std::size_t instances = 8;
     const std::size_t instants = 30;
     const std::size_t nin = root->num_inputs();
@@ -99,7 +95,7 @@ bool verify_bit_exact(const codegen::CompiledSystem& sys, const BlockPtr& root,
     runtime::Engine ref(sys, root, ecfg);
     const auto ref_ids = ref.create(instances);
 
-    Harness h(sys, root, shards, instances);
+    Harness h(sys, root, instances);
     const auto handles = h.client.create_instances(1, static_cast<std::uint32_t>(instances));
 
     std::vector<runtime::LcgInputSource> served_src, ref_src;
@@ -176,7 +172,7 @@ ShedResult measure_shed(const codegen::CompiledSystem& sys, const BlockPtr& root
     const auto ref_id = ref.create(1).front();
 
     ShedResult r;
-    Harness h(sys, root, /*shards=*/2, /*instances=*/16, /*tenant_cap=*/4);
+    Harness h(sys, root, /*instances=*/16, /*tenant_cap=*/4);
     const auto good = h.client.create_instances(1, 1);
     for (std::size_t n = 0; n < 8; ++n) {
         ++r.attempts;
@@ -219,9 +215,9 @@ void write_json(const std::vector<Cell>& cells, bool bit_exact, const ShedResult
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell& c = cells[i];
         std::fprintf(f,
-                     "    {\"shards\": %zu, \"instances\": %zu, \"ticks\": %zu, "
+                     "    {\"instances\": %zu, \"ticks\": %zu, "
                      "\"ticks_per_sec\": %.0f, \"tick_p50_ns\": %llu, \"tick_p99_ns\": %llu}%s\n",
-                     c.shards, c.instances, c.ticks, c.ticks_per_sec,
+                     c.instances, c.ticks, c.ticks_per_sec,
                      static_cast<unsigned long long>(c.p50_ns),
                      static_cast<unsigned long long>(c.p99_ns),
                      i + 1 < cells.size() ? "," : "");
@@ -237,8 +233,7 @@ int main() {
     const auto root = suite::thermostat();
     const auto sys = codegen::compile_hierarchy(root, codegen::Method::Dynamic);
 
-    const std::vector<std::pair<std::size_t, std::size_t>> configs = {
-        {1, 32}, {2, 64}, {4, 128}};
+    const std::vector<std::size_t> pool_sizes = {32, 64, 128};
     const std::size_t closed_ticks = 400;
     const double open_rps = 200.0;
     const std::size_t open_requests = 120;
@@ -247,35 +242,27 @@ int main() {
                 "(%u hardware threads)\n",
                 std::thread::hardware_concurrency());
 
-    bool bit_exact = true;
-    for (const auto& [shards, instances] : configs) {
-        (void)instances;
-        if (!verify_bit_exact(sys, root, shards)) {
-            bit_exact = false;
-            std::printf("%zu shard(s): BIT-EXACTNESS FAILED\n", shards);
-        }
-    }
+    const bool bit_exact = verify_bit_exact(sys, root);
 
     sbd::bench::rule('-', 84);
-    std::printf("%6s | %9s | %12s | %12s | %12s\n", "shards", "instances", "ticks/sec",
-                "p50 (ms)", "p99 (ms)");
+    std::printf("%9s | %12s | %12s | %12s\n", "instances", "ticks/sec", "p50 (ms)",
+                "p99 (ms)");
     sbd::bench::rule('-', 84);
 
     std::vector<Cell> cells;
-    for (const auto& [shards, instances] : configs) {
+    for (const std::size_t instances : pool_sizes) {
         Cell c;
-        c.shards = shards;
         c.instances = instances;
         c.ticks = closed_ticks;
         {
-            Harness h(sys, root, shards, instances);
+            Harness h(sys, root, instances);
             h.client.create_instances(1, static_cast<std::uint32_t>(instances));
             c.ticks_per_sec = measure_ticks_per_sec(h, closed_ticks);
             measure_open_loop(h, open_rps, open_requests, &c.p50_ns, &c.p99_ns);
         }
         cells.push_back(c);
-        std::printf("%6zu | %9zu | %12.0f | %12.3f | %12.3f\n", c.shards, c.instances,
-                    c.ticks_per_sec, c.p50_ns / 1e6, c.p99_ns / 1e6);
+        std::printf("%9zu | %12.0f | %12.3f | %12.3f\n", c.instances, c.ticks_per_sec,
+                    c.p50_ns / 1e6, c.p99_ns / 1e6);
     }
     sbd::bench::rule('-', 84);
 

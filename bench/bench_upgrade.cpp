@@ -191,9 +191,8 @@ SwapStats measure_engine_swap(std::size_t instances, std::size_t swaps) {
     return st;
 }
 
-/// Served pause: the server's own swap_ns (exclusive-lock prepare+commit
-/// across all shards) over repeated UPGRADE_MODEL round-trips while the
-/// instances stay live.
+/// Served pause: the server's own swap_ns (exclusive-lock prepare+commit)
+/// over repeated UPGRADE_MODEL round-trips while the instances stay live.
 SwapStats measure_served_swap(std::size_t instances, std::size_t swaps) {
     const auto root = suite::thermostat();
     auto cache = std::make_shared<codegen::ProfileCache>(0);
@@ -204,8 +203,7 @@ SwapStats measure_served_swap(std::size_t instances, std::size_t swaps) {
 
     serve::ServerConfig cfg;
     cfg.endpoint = serve::Endpoint::parse("tcp:127.0.0.1:0");
-    cfg.shards = 2;
-    cfg.shard_capacity = instances;
+    cfg.shard_capacity = 2 * instances;
     upgrade::CompileContext uctx;
     uctx.method = Method::Dynamic;
     uctx.cache = cache;

@@ -203,8 +203,8 @@ private:
 /// A reusable recipe for creating instances of one compiled block under one
 /// backend. Construction does the expensive work once (for native: emit,
 /// compile or cache-hit, dlopen, validate); instantiate() is then cheap and
-/// thread-safe, which is what lets an engine pool or a serve shard stamp
-/// out thousands of instances from one artifact.
+/// thread-safe, which is what lets an engine pool stamp out thousands of
+/// instances from one artifact.
 class Executable {
 public:
     virtual ~Executable() = default;

@@ -9,8 +9,8 @@
 // x ABI version (the full content key). Writes are atomic renames; a
 // corrupted or stale artifact never loads — its content key cannot match —
 // and is silently rebuilt. Within a process, builds are memoized and
-// concurrent builders of the same key share one compile, so an engine or
-// serve shard fleet pays for each distinct artifact once.
+// concurrent builders of the same key share one compile, so an engine
+// fleet pays for each distinct artifact once.
 #ifndef SBD_NATIVE_NATIVE_HPP
 #define SBD_NATIVE_NATIVE_HPP
 

@@ -135,8 +135,8 @@ inline constexpr const char* kFaultPointCatalog[] = {
     "engine.deadline",    // Engine::tick: deadline check reports expired
     "serve.accept",       // Server accept loop: accepting a connection fails
     "serve.dispatch",     // Server dispatch: a request fails before touching
-                          // any shard (client sees FAULT_INJECTED)
-    "serve.tick",         // Server TICK: instant refused before any shard
+                          // any instance (client sees FAULT_INJECTED)
+    "serve.tick",         // Server TICK: instant refused before any instance
                           // advances (atomic reject, never a torn instant)
     "serve.deadline",     // Server TICK: deadline check reports expired
                           // before an instant (coded DEADLINE_EXCEEDED)

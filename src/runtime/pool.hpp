@@ -131,8 +131,8 @@ public:
     /// Opaque token produced by prepare_rebind() and consumed by
     /// commit_rebind(): the complete replacement population (one migrated
     /// instance per live slot, in live-list order) plus the new arena.
-    /// Treat the fields as private; they are public only so the serve layer
-    /// can stage tokens for all shards before committing any of them.
+    /// Treat the fields as private; they are public only so a caller can
+    /// hold the token across the journal append that precedes the commit.
     struct Rebind {
         const codegen::CompiledSystem* sys = nullptr;
         BlockPtr root;
@@ -147,8 +147,8 @@ public:
     /// live slot it instantiates the new executable, runs `migrate` from the
     /// old instance's snapshot into the fresh instance's state/I-O, and
     /// restores the result. May throw (instantiation or an irreconcilable
-    /// migration); the pool is untouched either way, so a multi-shard caller
-    /// can prepare every shard before committing any — no torn fleet.
+    /// migration); the pool is untouched either way, so a failed prepare
+    /// leaves the whole fleet on the old version — no torn fleet.
     /// `executable` nullptr selects the interpreter, as in the constructor.
     /// Must not overlap step_slot() (externally synchronous, like create()).
     Rebind prepare_rebind(const codegen::CompiledSystem& sys, BlockPtr root,

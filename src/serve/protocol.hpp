@@ -59,7 +59,7 @@ enum class Err : std::uint16_t {
     BadOpcode = 3,        ///< unknown Op
     BadPayload = 4,       ///< payload too short / malformed for the Op
     BadHandle = 5,        ///< stale, foreign or out-of-range instance handle
-    PoolFull = 6,         ///< shard capacity exhausted
+    PoolFull = 6,         ///< instance capacity exhausted
     TenantBudget = 7,     ///< per-tenant instance budget exceeded (shed)
     DeadlineExceeded = 8, ///< tick deadline expired before the instant began
     FaultInjected = 9,    ///< armed fault plan failed the dispatch path
@@ -202,8 +202,9 @@ private:
     std::size_t at_ = 0;
 };
 
-/// A client-visible instance handle: the owning shard plus the shard-local
-/// generational id. 96 bits on the wire (3 x u32); opaque to clients.
+/// A client-visible instance handle: the pool's generational id. 96 bits on
+/// the wire (3 x u32); opaque to clients. `shard` is kept for wire
+/// compatibility: servers mint 0 and answer BAD_HANDLE to any other value.
 struct WireHandle {
     std::uint32_t shard = 0;
     std::uint32_t slot = 0;

@@ -36,26 +36,24 @@ private:
 using QueuedExclusive = QueuedLock<std::unique_lock<std::shared_mutex>>;
 using QueuedShared = QueuedLock<std::shared_lock<std::shared_mutex>>;
 
+runtime::EngineConfig engine_config(const ServerConfig& cfg) {
+    runtime::EngineConfig ec;
+    ec.capacity = cfg.shard_capacity;
+    ec.threads = cfg.engine_threads;
+    ec.executable = cfg.executable;
+    return ec;
+}
+
 } // namespace
 
 Server::Server(const codegen::CompiledSystem& sys, BlockPtr root, ServerConfig cfg)
-    : sys_(&sys), root_(std::move(root)), cfg_(std::move(cfg)), listener_(cfg_.endpoint) {
-    if (cfg_.shards == 0) throw std::invalid_argument("serve: shards must be > 0");
-    if (cfg_.shard_capacity == 0)
-        throw std::invalid_argument("serve: shard capacity must be > 0");
+    : sys_(&sys), root_(std::move(root)), cfg_(std::move(cfg)), listener_(cfg_.endpoint),
+      engine_(*sys_, root_, engine_config(cfg_)), owner_(cfg_.shard_capacity, 0) {
     if (cfg_.metrics == nullptr) {
         owned_metrics_ = std::make_shared<obs::MetricsRegistry>();
         metrics_ = owned_metrics_.get();
     } else {
         metrics_ = cfg_.metrics;
-    }
-    shards_.reserve(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-        runtime::EngineConfig ec;
-        ec.capacity = cfg_.shard_capacity;
-        ec.threads = cfg_.engine_threads;
-        ec.executable = cfg_.executable;
-        shards_.push_back(std::make_unique<Shard>(*sys_, root_, ec));
     }
     model_source_ = cfg_.model_source;
     if (cfg_.durable) {
@@ -99,20 +97,13 @@ Server::Server(const codegen::CompiledSystem& sys, BlockPtr root, ServerConfig c
                                         "request handling latency, nanoseconds");
     h_tick_ns_ = metrics_->histogram("sbd_serve_tick_ns",
                                      obs::exponential_bounds(1000, 4.0, 14),
-                                     "whole-instant latency across all shards, nanoseconds");
+                                     "whole-instant latency, nanoseconds");
     g_connections_ = metrics_->gauge("sbd_serve_connections", "open client connections");
     g_queue_depth_ =
         metrics_->gauge("sbd_serve_queue_depth", "requests waiting for the state lock");
-    g_shard_instances_.reserve(cfg_.shards);
-    g_shard_capacity_.reserve(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-        const obs::Labels labels = {{"shard", std::to_string(s)}};
-        g_shard_instances_.push_back(
-            metrics_->gauge("sbd_serve_shard_instances", "live instances in the shard", labels));
-        g_shard_capacity_.push_back(
-            metrics_->gauge("sbd_serve_shard_capacity", "instance slots in the shard", labels));
-        g_shard_capacity_.back().set(static_cast<std::int64_t>(cfg_.shard_capacity));
-    }
+    g_instances_ = metrics_->gauge("sbd_serve_instances", "live instances");
+    metrics_->gauge("sbd_serve_capacity", "instance slots")
+        .set(static_cast<std::int64_t>(cfg_.shard_capacity));
 }
 
 Server::~Server() {
@@ -250,16 +241,15 @@ void Server::handle_http(Conn& conn) {
 std::string Server::metrics_text() {
     {
         QueuedShared lk(state_m_, g_queue_depth_);
-        refresh_shard_gauges();
+        refresh_gauges();
     }
     if (resilience::fault_armed())
         resilience::FaultRegistry::instance().export_metrics(*metrics_);
     return obs::to_prometheus(metrics_->snapshot());
 }
 
-void Server::refresh_shard_gauges() {
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-        g_shard_instances_[s].set(static_cast<std::int64_t>(shards_[s]->size()));
+void Server::refresh_gauges() {
+    g_instances_.set(static_cast<std::int64_t>(engine_.pool().size()));
 }
 
 ServerStats Server::stats_view() const {
@@ -268,7 +258,7 @@ ServerStats Server::stats_view() const {
     st.errors = c_errors_total_.value();
     st.ticks = c_ticks_total_.value();
     st.shed = c_shed_total_.value();
-    for (const auto& s : shards_) st.live_instances += s->size();
+    st.live_instances = engine_.pool().size();
     return st;
 }
 
@@ -304,7 +294,7 @@ Frame Server::handle_request(const Frame& req) {
     Frame resp;
     try {
         if (SBD_FAULT_HIT("serve.dispatch")) {
-            // Injected before any shard state is read or written: the
+            // Injected before any engine state is read or written: the
             // request fails coded and the service state is untouched.
             resp = error_frame(req, Err::FaultInjected,
                                "injected dispatch fault (" + std::string(to_string(req.opcode)) +
@@ -344,9 +334,9 @@ Frame Server::handle_request(const Frame& req) {
 }
 
 Err Server::resolve(const WireHandle& h, std::uint64_t tenant, runtime::InstanceId* out) const {
-    if (h.shard >= shards_.size()) return Err::BadHandle;
     const runtime::InstanceId id{h.slot, h.generation};
-    if (!shards_[h.shard]->owned_by(id, tenant)) return Err::BadHandle;
+    if (h.shard != 0 || !engine_.pool().alive(id) || owner_[id.slot] != tenant)
+        return Err::BadHandle;
     *out = id;
     return Err::Ok;
 }
@@ -366,16 +356,18 @@ Frame Server::do_create(const Frame& req, PayloadReader& r) {
                                std::to_string(live) + " live + " + std::to_string(count) +
                                " requested > " + std::to_string(cfg_.tenant_max_instances));
     }
-    std::size_t total_free = 0;
-    for (const auto& s : shards_) total_free += s->free();
-    if (count > total_free)
+    // Free slots: capacity minus live minus those retired by generation
+    // exhaustion.
+    const runtime::InstancePool& pool = engine_.pool();
+    const std::size_t free_slots = pool.capacity() - pool.size() - pool.retired();
+    if (count > free_slots)
         return error_frame(req, Err::PoolFull,
                            "no capacity: " + std::to_string(count) + " requested, " +
-                               std::to_string(total_free) + " free");
+                               std::to_string(free_slots) + " free");
     // Admission passed for the whole batch: placement cannot fail now.
     // Journal before applying — replay reruns the same deterministic
-    // placement loop against the same pool state, so the handles it mints
-    // match the ones acked here bit-for-bit.
+    // creates against the same pool state, so the handles it mints match
+    // the ones acked here bit-for-bit.
     journal_append(durable::RecordKind::Create, req.payload);
     PayloadWriter w;
     w.u32(count);
@@ -388,14 +380,12 @@ std::vector<WireHandle> Server::apply_create_locked(std::uint64_t tenant,
     std::vector<WireHandle> out;
     out.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-        while (shards_[next_shard_]->free() == 0)
-            next_shard_ = (next_shard_ + 1) % shards_.size();
-        const runtime::InstanceId id = shards_[next_shard_]->create(tenant);
-        out.push_back({static_cast<std::uint32_t>(next_shard_), id.slot, id.generation});
-        next_shard_ = (next_shard_ + 1) % shards_.size();
+        const runtime::InstanceId id = engine_.create();
+        owner_[id.slot] = tenant;
+        out.push_back({0, id.slot, id.generation});
     }
     tenant_instances_[tenant] += count;
-    refresh_shard_gauges();
+    refresh_gauges();
     return out;
 }
 
@@ -414,16 +404,19 @@ Frame Server::do_destroy(const Frame& req, PayloadReader& r) {
             return error_frame(req, Err::BadHandle,
                                "stale or foreign handle at index " + std::to_string(i));
     journal_append(durable::RecordKind::Destroy, req.payload);
-    for (std::uint32_t i = 0; i < count; ++i) shards_[handles[i].shard]->destroy(ids[i]);
+    for (const runtime::InstanceId id : ids) engine_.destroy(id);
     tenant_instances_[tenant] -= count;
-    refresh_shard_gauges();
+    refresh_gauges();
     return ok_frame(req);
 }
 
 Frame Server::do_post_inputs(const Frame& req, PayloadReader& r) {
     const std::uint64_t tenant = r.u64();
     const std::uint32_t count = r.u32();
-    const std::size_t nin = shards_[0]->pool().num_inputs();
+    // The row width is read under the lock: an UPGRADE_MODEL commit may
+    // change it, under the exclusive lock.
+    QueuedShared lk(state_m_, g_queue_depth_);
+    const std::size_t nin = engine_.pool().num_inputs();
     std::vector<WireHandle> handles(count);
     std::vector<double> rows(static_cast<std::size_t>(count) * nin);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -431,7 +424,6 @@ Frame Server::do_post_inputs(const Frame& req, PayloadReader& r) {
         r.f64s(std::span(rows).subspan(static_cast<std::size_t>(i) * nin, nin));
     }
     r.done();
-    QueuedShared lk(state_m_, g_queue_depth_);
     std::vector<runtime::InstanceId> ids(count);
     for (std::uint32_t i = 0; i < count; ++i)
         if (resolve(handles[i], tenant, &ids[i]) != Err::Ok)
@@ -445,7 +437,7 @@ Frame Server::do_post_inputs(const Frame& req, PayloadReader& r) {
         journal_append(durable::RecordKind::PostInputs, req.payload);
     }
     for (std::uint32_t i = 0; i < count; ++i) {
-        const std::span<double> dst = shards_[handles[i].shard]->pool().inputs(ids[i]);
+        const std::span<double> dst = engine_.pool().inputs(ids[i]);
         const std::span<const double> src(rows.data() + static_cast<std::size_t>(i) * nin, nin);
         std::copy(src.begin(), src.end(), dst.begin());
     }
@@ -462,9 +454,9 @@ Frame Server::do_tick(const Frame& req, PayloadReader& r) {
     const resilience::Deadline deadline = resilience::Deadline::after_ms(cfg_.tick_deadline_ms);
     std::uint32_t executed = 0;
     for (std::uint32_t t = 0; t < n; ++t) {
-        // Every admission check fires before the first shard of the instant
-        // steps, so a rejection here leaves all shards at a consistent,
-        // fully completed instant — shed, never torn.
+        // Every admission check fires before the instant steps, so a
+        // rejection here leaves every instance at a consistent, fully
+        // completed instant — shed, never torn.
         if (deadline.due("serve.deadline"))
             return error_frame(req, Err::DeadlineExceeded,
                                "tick deadline expired after " + std::to_string(executed) +
@@ -473,7 +465,7 @@ Frame Server::do_tick(const Frame& req, PayloadReader& r) {
             return error_frame(req, Err::FaultInjected,
                                "injected tick fault after " + std::to_string(executed) +
                                    " of " + std::to_string(n) + " instants");
-        // One journal record per instant, appended before any shard steps:
+        // One journal record per instant, appended before the engine steps:
         // a crash between append and step makes replay complete the instant
         // (unacked, but a valid prefix of the timeline); an append failure
         // sheds the rest of the batch coded, never a torn instant.
@@ -496,7 +488,7 @@ Frame Server::do_tick(const Frame& req, PayloadReader& r) {
 
 void Server::step_instant_locked() {
     const Clock::time_point t0 = Clock::now();
-    for (const auto& s : shards_) s->engine().tick();
+    engine_.tick();
     h_tick_ns_.observe(ns_since(t0));
     c_ticks_total_.inc();
     ticks_.fetch_add(1, std::memory_order_relaxed);
@@ -517,7 +509,7 @@ Frame Server::do_read_outputs(const Frame& req, PayloadReader& r) {
     PayloadWriter w;
     w.u32(count);
     for (std::uint32_t i = 0; i < count; ++i)
-        w.f64s(shards_[handles[i].shard]->pool().outputs(ids[i]));
+        w.f64s(engine_.pool().outputs(ids[i]));
     return ok_frame(req, w.take());
 }
 
@@ -529,7 +521,7 @@ Frame Server::do_snapshot(const Frame& req, PayloadReader& r) {
     runtime::InstanceId id;
     if (resolve(h, tenant, &id) != Err::Ok)
         return error_frame(req, Err::BadHandle, "stale or foreign handle");
-    const std::vector<double> blob = shards_[h.shard]->pool().snapshot_state(id);
+    const std::vector<double> blob = engine_.pool().snapshot_state(id);
     PayloadWriter w;
     w.u32(static_cast<std::uint32_t>(blob.size()));
     w.f64s(blob);
@@ -561,8 +553,8 @@ Frame Server::do_upgrade(const Frame& req, PayloadReader& r) {
         return error_frame(req, Err::UpgradeRejected,
                            "live upgrades are disabled on this server");
     if (SBD_FAULT_HIT("serve.upgrade"))
-        // Injected before any compile work: the running version, every
-        // shard and every instance are untouched.
+        // Injected before any compile work: the running version and every
+        // instance are untouched.
         throw resilience::FaultInjected("injected upgrade fault before compile");
 
     // Phase 1 (shared lock): pin the running version. sys_/root_ only move
@@ -602,9 +594,9 @@ Frame Server::do_upgrade(const Frame& req, PayloadReader& r) {
     }
 
     // Phase 3 (exclusive lock — the instant-boundary quiesce): recheck the
-    // race, prepare every shard, then commit every shard. prepare touches
-    // nothing and commit cannot throw, so the fleet is never torn: either
-    // all shards swap or none do.
+    // race, prepare the rebind, then commit it. prepare touches nothing and
+    // commit cannot throw, so the fleet is never torn: either every
+    // instance swaps or none does.
     const Clock::time_point swap_t0 = Clock::now();
     {
         QueuedExclusive lk(state_m_, g_queue_depth_);
@@ -615,11 +607,9 @@ Frame Server::do_upgrade(const Frame& req, PayloadReader& r) {
             return error_frame(req, Err::UpgradeRejected,
                                "conflict: a concurrent upgrade was applied first");
         }
-        std::vector<runtime::InstancePool::Rebind> staged;
-        staged.reserve(shards_.size());
+        runtime::InstancePool::Rebind staged;
         try {
-            for (const auto& s : shards_)
-                staged.push_back(s->pool().prepare_rebind(*next.sys, next.root, next.exec, plan));
+            staged = engine_.pool().prepare_rebind(*next.sys, next.root, next.exec, plan);
         } catch (const std::exception& e) {
             c_upgrades_rejected_.inc();
             return error_frame(req, Err::UpgradeRejected,
@@ -642,8 +632,7 @@ Frame Server::do_upgrade(const Frame& req, PayloadReader& r) {
                 return error_frame(req, Err::DurableFailed, e.what());
             }
         }
-        for (std::size_t s = 0; s < shards_.size(); ++s)
-            shards_[s]->pool().commit_rebind(std::move(staged[s]));
+        engine_.pool().commit_rebind(std::move(staged));
         owned_sys_ = next.sys;
         owned_exec_ = next.exec;
         sys_ = owned_sys_.get();
@@ -711,7 +700,7 @@ std::vector<std::uint8_t> Server::checkpoint_payload_locked() const {
     w.u64(model_version_.load(std::memory_order_relaxed));
     w.str(model_source_);
     w.u64(ticks_.load(std::memory_order_relaxed));
-    w.u64(next_shard_);
+    w.u64(0); // next-shard cursor, kept for format compatibility; always 0
     w.u32(static_cast<std::uint32_t>(tenant_instances_.size()));
     // Sorted for determinism: two checkpoints of identical state are
     // byte-identical, which makes them trivially diffable in tests.
@@ -723,21 +712,19 @@ std::vector<std::uint8_t> Server::checkpoint_payload_locked() const {
         w.u64(t);
         w.u64(n);
     }
-    w.u32(static_cast<std::uint32_t>(shards_.size()));
-    for (const auto& shard : shards_) {
-        const runtime::InstancePool& pool = shard->pool();
-        const runtime::InstancePool::Image img = pool.image();
-        w.u32(static_cast<std::uint32_t>(pool.capacity()));
-        w.u32(static_cast<std::uint32_t>(img.free_order.size()));
-        for (const std::uint32_t s : img.free_order) w.u32(s);
-        w.u32(static_cast<std::uint32_t>(img.live_order.size()));
-        for (const std::uint32_t s : img.live_order) w.u32(s);
-        for (const std::uint32_t g : img.generations) w.u32(g);
-        for (const std::uint32_t s : img.live_order) w.u64(shard->owners()[s]);
-        for (const std::vector<double>& blob : img.blobs) {
-            w.u32(static_cast<std::uint32_t>(blob.size()));
-            w.f64s(blob);
-        }
+    w.u32(1); // shard count, kept for format compatibility; always 1
+    const runtime::InstancePool& pool = engine_.pool();
+    const runtime::InstancePool::Image img = pool.image();
+    w.u32(static_cast<std::uint32_t>(pool.capacity()));
+    w.u32(static_cast<std::uint32_t>(img.free_order.size()));
+    for (const std::uint32_t s : img.free_order) w.u32(s);
+    w.u32(static_cast<std::uint32_t>(img.live_order.size()));
+    for (const std::uint32_t s : img.live_order) w.u32(s);
+    for (const std::uint32_t g : img.generations) w.u32(g);
+    for (const std::uint32_t s : img.live_order) w.u64(owner_[s]);
+    for (const std::vector<double>& blob : img.blobs) {
+        w.u32(static_cast<std::uint32_t>(blob.size()));
+        w.f64s(blob);
     }
     return w.take();
 }
@@ -749,53 +736,48 @@ void Server::restore_checkpoint(std::span<const std::uint8_t> payload) {
         const std::uint64_t version = r.u64();
         const std::string source = r.str();
         const std::uint64_t ticks = r.u64();
-        const std::uint64_t next_shard = r.u64();
+        (void)r.u64(); // next-shard cursor (always 0)
         const std::uint32_t ntenants = r.u32();
         std::unordered_map<std::uint64_t, std::size_t> tenants;
         for (std::uint32_t i = 0; i < ntenants; ++i) {
             const std::uint64_t t = r.u64();
             tenants[t] = static_cast<std::size_t>(r.u64());
         }
-        const std::uint32_t nshards = r.u32();
-        if (nshards != shards_.size())
-            throw durable::DurableError(
-                "durable: checkpoint has " + std::to_string(nshards) + " shards, server booted with " +
-                std::to_string(shards_.size()) + " — restart with the original topology");
+        const std::uint32_t npools = r.u32();
+        if (npools != 1)
+            throw durable::DurableError("durable: checkpoint has " + std::to_string(npools) +
+                                        " shards; this server runs one engine");
         // The checkpoint's blobs are laid out for the checkpointed model
-        // version; rebind the (still empty) shards to it before restoring.
+        // version; rebind the (still empty) pool to it before restoring.
         if (version != 1 || (!source.empty() && source != model_source_))
             install_version_for_recovery(source, version, &kDrain);
-        for (auto& shard : shards_) {
-            runtime::InstancePool& pool = shard->pool();
-            const std::uint32_t cap = r.u32();
-            if (cap != pool.capacity())
-                throw durable::DurableError(
-                    "durable: checkpoint shard capacity " + std::to_string(cap) +
-                    " != configured " + std::to_string(pool.capacity()) +
-                    " — restart with the original topology");
-            runtime::InstancePool::Image img;
-            img.free_order.resize(r.u32());
-            for (std::uint32_t& s : img.free_order) s = r.u32();
-            img.live_order.resize(r.u32());
-            for (std::uint32_t& s : img.live_order) s = r.u32();
-            img.generations.resize(cap);
-            for (std::uint32_t& g : img.generations) g = r.u32();
-            std::vector<std::uint64_t> owners(cap, 0);
-            for (const std::uint32_t s : img.live_order) {
-                if (s >= cap) throw durable::DurableError("durable: checkpoint live slot out of range");
-                owners[s] = r.u64();
-            }
-            img.blobs.resize(img.live_order.size());
-            for (std::vector<double>& blob : img.blobs) {
-                blob.resize(r.u32());
-                r.f64s(blob);
-            }
-            pool.restore_image(img);
-            shard->restore_owners(std::move(owners));
+        runtime::InstancePool& pool = engine_.pool();
+        const std::uint32_t cap = r.u32();
+        if (cap != pool.capacity())
+            throw durable::DurableError("durable: checkpoint capacity " + std::to_string(cap) +
+                                        " != configured " + std::to_string(pool.capacity()) +
+                                        " — restart with the original capacity");
+        runtime::InstancePool::Image img;
+        img.free_order.resize(r.u32());
+        for (std::uint32_t& s : img.free_order) s = r.u32();
+        img.live_order.resize(r.u32());
+        for (std::uint32_t& s : img.live_order) s = r.u32();
+        img.generations.resize(cap);
+        for (std::uint32_t& g : img.generations) g = r.u32();
+        std::vector<std::uint64_t> owners(cap, 0);
+        for (const std::uint32_t s : img.live_order) {
+            if (s >= cap) throw durable::DurableError("durable: checkpoint live slot out of range");
+            owners[s] = r.u64();
+        }
+        img.blobs.resize(img.live_order.size());
+        for (std::vector<double>& blob : img.blobs) {
+            blob.resize(r.u32());
+            r.f64s(blob);
         }
         r.done();
+        pool.restore_image(img);
+        owner_ = std::move(owners);
         tenant_instances_ = std::move(tenants);
-        next_shard_ = static_cast<std::size_t>(next_shard);
         ticks_.store(ticks, std::memory_order_relaxed);
         c_ticks_total_.inc(ticks); // keep the metrics mirror consistent
         model_source_ = source;
@@ -827,12 +809,8 @@ void Server::install_version_for_recovery(const std::string& source, std::uint64
             upgrade::plan_migration(*sys_, root_, *next.sys, next.root));
         migrator = plan.get();
     }
-    std::vector<runtime::InstancePool::Rebind> staged;
-    staged.reserve(shards_.size());
-    for (const auto& s : shards_)
-        staged.push_back(s->pool().prepare_rebind(*next.sys, next.root, next.exec, *migrator));
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-        shards_[s]->pool().commit_rebind(std::move(staged[s]));
+    engine_.pool().commit_rebind(
+        engine_.pool().prepare_rebind(*next.sys, next.root, next.exec, *migrator));
     owned_sys_ = next.sys;
     owned_exec_ = next.exec;
     sys_ = owned_sys_.get();
@@ -863,20 +841,20 @@ void Server::replay_record(const durable::Record& rec) {
         for (std::uint32_t i = 0; i < count; ++i)
             if (resolve(handles[i], tenant, &ids[i]) != Err::Ok)
                 throw durable::DurableError("durable: replay diverged on DESTROY handle");
-        for (std::uint32_t i = 0; i < count; ++i) shards_[handles[i].shard]->destroy(ids[i]);
+        for (const runtime::InstanceId id : ids) engine_.destroy(id);
         tenant_instances_[tenant] -= count;
         return;
     }
     case durable::RecordKind::PostInputs: {
         const std::uint64_t tenant = r.u64();
         const std::uint32_t count = r.u32();
-        const std::size_t nin = shards_[0]->pool().num_inputs();
+        const std::size_t nin = engine_.pool().num_inputs();
         for (std::uint32_t i = 0; i < count; ++i) {
             const WireHandle h = read_handle(r);
             runtime::InstanceId id;
             if (resolve(h, tenant, &id) != Err::Ok)
                 throw durable::DurableError("durable: replay diverged on POST_INPUTS handle");
-            r.f64s(shards_[h.shard]->pool().inputs(id).subspan(0, nin));
+            r.f64s(engine_.pool().inputs(id).subspan(0, nin));
         }
         r.done();
         return;
@@ -930,11 +908,11 @@ RecoveryStats Server::recover() {
     }
     rs.recovered_version = model_version_.load(std::memory_order_relaxed);
     rs.recovered_ticks = ticks_.load(std::memory_order_relaxed);
-    for (const auto& s : shards_) rs.live_instances += s->size();
+    rs.live_instances = engine_.pool().size();
     rs.recovery_ns = ns_since(t0);
     last_checkpoint_ticks_ = rs.recovered_ticks;
     store_->note_recovery(rs.replayed_records, rs.replayed_ticks, rs.recovery_ns);
-    refresh_shard_gauges();
+    refresh_gauges();
     return rs;
 }
 

@@ -1,20 +1,21 @@
-// sbd_serve — a long-running, sharded, multi-tenant simulation service.
+// sbd_serve — a long-running, multi-tenant simulation service.
 //
-// The server hosts N shards, each an Engine-backed InstancePool of one
-// compiled model, and speaks the SBDS length-prefixed binary protocol over
-// a TCP or Unix socket (protocol.hpp). A connection whose first bytes are
-// "GET " instead of the frame magic gets a one-shot HTTP response carrying
-// the Prometheus text exposition of the server's metrics registry — the
-// `GET /metrics` scrape endpoint, no HTTP library required.
+// The server hosts one Engine-backed InstancePool of one compiled model,
+// plus a per-slot tenant owner table, and speaks the SBDS length-prefixed
+// binary protocol over a TCP or Unix socket (protocol.hpp). A connection
+// whose first bytes are "GET " instead of the frame magic gets a one-shot
+// HTTP response carrying the Prometheus text exposition of the server's
+// metrics registry — the `GET /metrics` scrape endpoint, no HTTP library
+// required.
 //
 // Concurrency model: one accept thread, one handler thread per connection,
-// and a server-wide reader/writer lock over shard state. Structural
+// and a server-wide reader/writer lock over engine state. Structural
 // operations and the global tick (CREATE / DESTROY / TICK / SHUTDOWN) take
 // the lock exclusively; data-plane operations (POST_INPUTS / READ_OUTPUTS /
 // SNAPSHOT / STATS) share it — tenants own disjoint slots with disjoint
 // arena buffers, so same-mode requests never race. A TICK advances every
-// shard one synchronous instant under the exclusive lock; admission checks
-// (deadline, fault points, shutdown) all happen *before* the first shard
+// instance one synchronous instant under the exclusive lock; admission
+// checks (deadline, fault points, shutdown) all happen *before* the engine
 // steps, so a rejected tick leaves every instance untouched — coded
 // rejections, never a torn instant.
 #ifndef SBD_SERVE_SERVER_HPP
@@ -33,8 +34,8 @@
 
 #include "durable/durable.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/engine.hpp"
 #include "serve/protocol.hpp"
-#include "serve/shard.hpp"
 #include "serve/socket.hpp"
 #include "upgrade/upgrade.hpp"
 
@@ -42,22 +43,22 @@ namespace sbd::serve {
 
 struct ServerConfig {
     Endpoint endpoint;                 ///< listen address (tcp port 0 = ephemeral)
-    std::size_t shards = 1;            ///< engine shards
-    /// Execution backend shared by every shard engine (one native artifact
-    /// serves the whole daemon). nullptr = interpreter.
+    /// Execution backend of the engine (one native artifact serves the
+    /// whole daemon). nullptr = interpreter.
     std::shared_ptr<const codegen::Executable> executable;
-    std::size_t shard_capacity = 1024; ///< instance slots per shard
-    std::size_t engine_threads = 1;    ///< worker threads per shard engine
+    std::size_t shard_capacity = 1024; ///< total instance slots of the engine
+    std::size_t engine_threads = 1;    ///< worker threads of the engine
     /// Wall-clock budget for one TICK request (all requested instants).
     /// Checked before each instant; expiry rejects with DEADLINE_EXCEEDED
-    /// before any shard of that instant advances. 0 = no deadline.
+    /// before that instant advances. 0 = no deadline.
     std::uint64_t tick_deadline_ms = 0;
     /// Per-tenant live-instance budget; a CREATE_INSTANCES that would
     /// exceed it is shed with TENANT_BUDGET (nothing is created). 0 = off.
     std::uint64_t tenant_max_instances = 0;
-    /// Metrics sink (serve request/tick/latency families, per-shard
-    /// gauges). nullptr = the server creates a private registry, so STATS
-    /// and /metrics always work.
+    /// Metrics sink (serve request/tick/latency families, pool gauges).
+    /// Must outlive the Server: handler threads update its gauges until
+    /// ~Server joins them. nullptr = the server creates a private registry,
+    /// so STATS and /metrics always work.
     obs::MetricsRegistry* metrics = nullptr;
     /// Live-upgrade compile context (how to recompile a new model version:
     /// the boot-time clustering method/options, the shared profile cache,
@@ -131,8 +132,8 @@ public:
     /// journal-tail replay). Call once, before start(). Corrupt store
     /// *contents* degrade (checkpoint fallback, torn-tail truncation,
     /// shorter replay) — they never throw; a checkpoint that is intact but
-    /// incompatible with the boot configuration (different shard topology,
-    /// or an upgraded version with no upgrade context) throws DurableError,
+    /// incompatible with the boot configuration (different capacity, or an
+    /// upgraded version with no upgrade context) throws DurableError,
     /// because silently serving the wrong state would be worse. No-op
     /// returning a default RecoveryStats when no durable store is attached.
     RecoveryStats recover();
@@ -149,7 +150,7 @@ public:
     ServerStats stats_view() const;
     obs::MetricsRegistry* metrics() const { return metrics_; }
 
-    /// Prometheus text of the registry with shard gauges refreshed — what
+    /// Prometheus text of the registry with pool gauges refreshed — what
     /// both STATS and GET /metrics return.
     std::string metrics_text();
 
@@ -172,20 +173,20 @@ private:
     Frame ok_frame(const Frame& req, std::vector<std::uint8_t> payload = {});
     Frame error_frame(const Frame& req, Err code, const std::string& message);
 
-    /// Resolves a wire handle to (shard, id); Err::Ok when live and owned.
+    /// Resolves a wire handle to an instance id; Err::Ok when live and owned.
     Err resolve(const WireHandle& h, std::uint64_t tenant, runtime::InstanceId* out) const;
-    void refresh_shard_gauges();
+    void refresh_gauges();
 
     // ---- durable plumbing (all no-ops when store_ is null) -------------
     /// Appends one journal record; throws durable::DurableError on failure
     /// — callers append *before* applying, so a throw rejects the mutation
     /// coded (DURABLE_FAILED) with state untouched.
     void journal_append(durable::RecordKind kind, std::span<const std::uint8_t> payload);
-    /// Advances every shard one instant and bumps the tick counters (the
+    /// Advances every instance one instant and bumps the tick counters (the
     /// shared core of do_tick and TICK-record replay).
     void step_instant_locked();
-    /// CREATE's placement loop + bookkeeping (shared with replay); the
-    /// caller has already admitted the batch.
+    /// CREATE's placement + bookkeeping (shared with replay); the caller
+    /// has already admitted the batch.
     std::vector<WireHandle> apply_create_locked(std::uint64_t tenant, std::uint32_t count);
     /// Checkpoint cadence check, called at the end of a TICK batch under
     /// the exclusive lock.
@@ -193,21 +194,21 @@ private:
     void write_checkpoint_locked();
     std::vector<std::uint8_t> checkpoint_payload_locked() const;
     /// Parses + applies a checkpoint payload into a freshly constructed
-    /// server (empty shards). Throws DurableError on boot-config mismatch.
+    /// server (empty pool). Throws DurableError on boot-config mismatch.
     void restore_checkpoint(std::span<const std::uint8_t> payload);
     /// Applies one journal record during recovery (no journaling, no
     /// admission — the record was admitted live).
     void replay_record(const durable::Record& rec);
     /// Recovery-side version install: compiles `source` as `version`
-    /// through cfg_.upgrade and rebinds every shard with `migrator`
-    /// (DrainMigrator over empty shards when restoring a checkpoint; the
+    /// through cfg_.upgrade and rebinds the pool with `migrator`
+    /// (DrainMigrator over the empty pool when restoring a checkpoint; the
     /// replay of an UPGRADE record plans a real migration first). Runs
     /// single-threaded before start(), so no locking. Throws
     /// upgrade::UpgradeError on compile failure and DurableError when no
     /// upgrade context is configured.
     /// `migrator` nullptr means "plan a real migration from the currently
     /// installed version" (the UPGRADE replay path); a non-null migrator is
-    /// used verbatim (checkpoint restore rebinds empty shards with a drain).
+    /// used verbatim (checkpoint restore rebinds the empty pool with a drain).
     void install_version_for_recovery(const std::string& source, std::uint64_t version,
                                       const runtime::StateMigrator* migrator);
 
@@ -222,13 +223,17 @@ private:
     std::atomic<std::uint64_t> model_version_{1};
     ServerConfig cfg_;
     Listener listener_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    runtime::Engine engine_;
+    /// Owning tenant by slot; valid while the slot is live. Survives a
+    /// live-upgrade rebind untouched: commit_rebind preserves slot
+    /// numbering, generations and the live list, so ownership (and every
+    /// outstanding wire handle) remains valid across model versions.
+    std::vector<std::uint64_t> owner_;
 
     /// Exclusive: CREATE/DESTROY/TICK/SHUTDOWN; shared: POST/READ/SNAPSHOT/
     /// STATS. See the concurrency model note above.
     std::shared_mutex state_m_;
     std::unordered_map<std::uint64_t, std::size_t> tenant_instances_;
-    std::size_t next_shard_ = 0; ///< round-robin start for balanced creates
 
     /// Durable store; null when cfg_.durable is unset.
     std::unique_ptr<durable::Store> store_;
@@ -257,8 +262,7 @@ private:
     obs::Counter c_upgrades_applied_, c_upgrades_rejected_, c_upgrade_units_reused_,
         c_upgrade_units_compiled_;
     obs::Histogram h_request_ns_, h_tick_ns_, h_upgrade_swap_ns_;
-    obs::Gauge g_connections_, g_queue_depth_, g_model_version_;
-    std::vector<obs::Gauge> g_shard_instances_, g_shard_capacity_;
+    obs::Gauge g_connections_, g_queue_depth_, g_model_version_, g_instances_;
 };
 
 } // namespace sbd::serve

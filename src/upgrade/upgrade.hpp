@@ -178,7 +178,7 @@ struct CompileContext {
 /// An owned, executable compiled model version: the compiled system, its
 /// root and the backend executable, plus the compile-side reuse accounting.
 /// Shared-pointer ownership is the point — a server retires the old version
-/// only after every shard has rebound to the new one.
+/// only after its instance pool has rebound to the new one.
 struct ModelVersion {
     std::uint64_t version = 0;
     BlockPtr root;

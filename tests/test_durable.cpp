@@ -367,8 +367,7 @@ serve::ServerConfig durable_server_config(const fs::path& data_dir, const std::s
                                           std::uint64_t ckpt_every = 4) {
     serve::ServerConfig cfg;
     cfg.endpoint = serve::Endpoint::parse("tcp:127.0.0.1:0");
-    cfg.shards = 2;
-    cfg.shard_capacity = 4;
+    cfg.shard_capacity = 8;
     upgrade::CompileContext uctx;
     cfg.upgrade = std::move(uctx);
     cfg.model_source = source;
@@ -546,11 +545,11 @@ TEST(DurableRecovery, BootConfigMismatchIsACodedError) {
         server.start();
         (void)run_session(server, model);
     }
-    // Restart with a different shard count: the checkpoint cannot be laid
-    // onto this topology; the failure must be the coded DurableError, not a
-    // crash or silent partial restore.
+    // Restart with a different capacity: the checkpoint cannot be laid onto
+    // this pool; the failure must be the coded DurableError, not a crash or
+    // silent partial restore.
     auto bad = cfg;
-    bad.shards = 3;
+    bad.shard_capacity = 12;
     serve::Server recovered(sys, model, bad);
     EXPECT_THROW((void)recovered.recover(), DurableError);
 }
@@ -616,10 +615,8 @@ pid_t spawn_serve(const fs::path& dir, const fs::path& model_path, const CrashRu
                                      "always",
                                      "--checkpoint-every-ticks",
                                      "2",
-                                     "--shards",
-                                     "2",
                                      "--capacity",
-                                     "4"};
+                                     "8"};
     if (!cfg.fault_plan.empty()) {
         args.push_back("--fault-plan");
         args.push_back(cfg.fault_plan);
@@ -750,8 +747,7 @@ std::optional<CrashRunStats> crash_run(const BlockPtr& model,
     // recovered version says it happened before the crash point.
     serve::ServerConfig ocfg;
     ocfg.endpoint = serve::Endpoint::parse("tcp:127.0.0.1:0");
-    ocfg.shards = 2;
-    ocfg.shard_capacity = 4;
+    ocfg.shard_capacity = 8;
     upgrade::CompileContext uctx;
     ocfg.upgrade = std::move(uctx);
     serve::Server oracle(sys, model, ocfg);

@@ -20,6 +20,8 @@
 #include <random>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "core/compiler.hpp"
 #include "core/emit_cpp.hpp"
 #include "core/exec.hpp"
@@ -44,11 +46,14 @@ std::string method_id(Method m) {
     return s;
 }
 
-/// Shared artifact store for the whole test binary; stable across runs so a
-/// warm cache skips every compile (what CI's warm pass measures).
+/// Shared artifact store for every test of this build tree; stable across
+/// runs so a warm cache skips every compile (what CI's warm pass measures),
+/// and keyed by the build tree so two checkouts tested on one host never
+/// share it.
 const std::string& store_dir() {
     static const std::string dir = [] {
-        const auto d = std::filesystem::temp_directory_path() / "sbd-native-test";
+        const auto d = std::filesystem::temp_directory_path() /
+                       ("sbd-native-test-" SBD_NATIVE_STORE_TAG);
         std::filesystem::create_directories(d);
         return d.string();
     }();
@@ -70,9 +75,10 @@ std::shared_ptr<const Executable> build_native(const CompiledSystem& sys, BlockP
 void expect_rows_bit_equal(std::span<const double> a, std::span<const double> b,
                            const std::string& what) {
     ASSERT_EQ(a.size(), b.size()) << what;
-    if (!a.empty())
+    if (!a.empty()) {
         ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
             << what << ": outputs diverge bitwise";
+    }
 }
 
 /// The differential core: drive interpreter and native module with the same
@@ -331,8 +337,9 @@ TEST(ArtifactStore, CorruptedArtifactIsRebuiltNotFatal) {
     const auto m = suite::thermostat();
     const CompiledSystem sys = compile_hierarchy(m, Method::Dynamic);
 
-    const fs::path dir_a = fs::temp_directory_path() / "sbd-native-test-corrupt-a";
-    const fs::path dir_b = fs::temp_directory_path() / "sbd-native-test-corrupt-b";
+    const std::string pid = std::to_string(::getpid());
+    const fs::path dir_a = fs::temp_directory_path() / ("sbd-native-test-corrupt-a-" + pid);
+    const fs::path dir_b = fs::temp_directory_path() / ("sbd-native-test-corrupt-b-" + pid);
     fs::remove_all(dir_a);
     fs::remove_all(dir_b);
     fs::create_directories(dir_b);
@@ -371,7 +378,8 @@ TEST(ArtifactStore, SecondBuildIsACacheHit) {
     namespace fs = std::filesystem;
     const auto m = suite::gear_logic();
     const CompiledSystem sys = compile_hierarchy(m, Method::Singletons);
-    const fs::path dir = fs::temp_directory_path() / "sbd-native-test-warm";
+    const fs::path dir =
+        fs::temp_directory_path() / ("sbd-native-test-warm-" + std::to_string(::getpid()));
     fs::remove_all(dir);
 
     const auto cold = build_native(sys, m, Method::Singletons, "-O1", dir.string());

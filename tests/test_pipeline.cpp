@@ -289,8 +289,9 @@ TEST_P(PipelineFuzz, FuzzedDiagramsAllPathsIdentical) {
     }
     // Maximal-reusability methods never reject the generator's output.
     if (method == Method::Dynamic || method == Method::DisjointSat ||
-        method == Method::DisjointGreedy || method == Method::Singletons)
+        method == Method::DisjointGreedy || method == Method::Singletons) {
         EXPECT_EQ(rejected, 0);
+    }
     EXPECT_GT(accepted, 0);
 }
 
@@ -604,7 +605,9 @@ TEST(CacheAdversary, EntryRoundTripAndTruncationSafety) {
     // bytes.
     for (std::size_t len = 0; len < bytes.size(); ++len) {
         const auto r = deserialize_entry(std::span<const std::uint8_t>(bytes.data(), len));
-        if (r) EXPECT_NE(serialize_entry(*r), bytes) << "prefix length " << len;
+        if (r) {
+            EXPECT_NE(serialize_entry(*r), bytes) << "prefix length " << len;
+        }
     }
     auto extended = bytes;
     extended.push_back(0);

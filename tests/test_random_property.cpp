@@ -35,6 +35,11 @@ struct RandomEquivCase {
     Method method;
 };
 
+// ctest IDs end in the printed parameter; gtest's default byte dump of this
+// struct holds padding. Seed, depth and method are already in the ID, so
+// this prints the sub count alone (longer IDs get cut in ctest's output).
+void PrintTo(const RandomEquivCase& c, std::ostream* os) { *os << c.subs; }
+
 class RandomEquivalence : public ::testing::TestWithParam<RandomEquivCase> {};
 
 TEST_P(RandomEquivalence, GeneratedCodeMatchesSimulator) {
@@ -176,7 +181,9 @@ TEST(RandomModels, DeepHierarchiesAreWellFormedAndCacheFriendly) {
         // Pointer-shared types deduplicate at discovery (one task per
         // Block*); structural clones are invisible to that and must be
         // caught by the fingerprint cache instead.
-        if (params.clone_probability > 0.0) EXPECT_GT(stats.macro_reuses, 0u) << iter;
+        if (params.clone_probability > 0.0) {
+            EXPECT_GT(stats.macro_reuses, 0u) << iter;
+        }
 
         // Semantics survive the depth: generated code == reference
         // simulator on the flattened diagram.

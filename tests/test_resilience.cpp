@@ -580,7 +580,7 @@ Outcome chaos_run(const ChaosConfig& cfg, const fs::path& cache_dir, std::size_t
 
         // Serve phase: the same compiled system behind a live loopback
         // server, one short tenant session per run. The serve.* points
-        // (and the engine points firing inside the shards) must surface as
+        // (and the engine points firing inside the engine) must surface as
         // coded rejections or a cleanly dropped connection — never a crash
         // or a torn instant; a session that completes must read back the
         // fault-free outputs bit-for-bit. The session runs on a durable
@@ -603,8 +603,7 @@ Outcome chaos_run(const ChaosConfig& cfg, const fs::path& cache_dir, std::size_t
         try {
             serve::ServerConfig scfg;
             scfg.endpoint = serve::Endpoint::parse("tcp:127.0.0.1:0");
-            scfg.shards = 2;
-            scfg.shard_capacity = 2;
+            scfg.shard_capacity = 4;
             upgrade::CompileContext uctx;
             uctx.method = cfg.method;
             scfg.upgrade = std::move(uctx);

@@ -90,6 +90,12 @@ struct ScoreCase {
     double max_score;
 };
 
+// ctest IDs end in the printed parameter; gtest's default byte dump of this
+// struct holds padding. The method is already in the ID.
+void PrintTo(const ScoreCase& c, std::ostream* os) {
+    *os << "score " << c.min_score << ".." << c.max_score;
+}
+
 class ReusabilityScore : public ::testing::TestWithParam<ScoreCase> {};
 
 TEST_P(ReusabilityScore, OnWholeSuite) {

@@ -203,8 +203,7 @@ TEST(ServeLoopback, BitExactAcrossSuiteAndThreads) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             ServerConfig cfg;
             cfg.endpoint = loopback();
-            cfg.shards = 2;
-            cfg.shard_capacity = kInstances; // deliberately more than needed
+            cfg.shard_capacity = 2 * kInstances; // deliberately more than needed
             cfg.engine_threads = threads;
             Server server(sys, m.block, cfg);
             server.start();
@@ -311,10 +310,7 @@ protected:
         model_ = suite::thermostat();
         sys_ = codegen::compile_hierarchy(model_, codegen::Method::Dynamic);
         cfg.endpoint = loopback();
-        if (cfg.shards == 1 && cfg.shard_capacity == 1024) {
-            cfg.shards = 2;
-            cfg.shard_capacity = 8;
-        }
+        if (cfg.shard_capacity == 1024) cfg.shard_capacity = 16;
         server_ = std::make_unique<Server>(sys_, model_, cfg);
         server_->start();
     }
@@ -360,6 +356,15 @@ TEST_F(ServeFixture, StaleHandlesAreRejectedAfterChurn) {
         EXPECT_EQ(e.code(), Err::BadHandle);
     }
     EXPECT_EQ(c.read_outputs(1, second).size(), 2 * model_->num_outputs());
+    // A live handle naming any shard but 0 is rejected as well.
+    std::vector<WireHandle> other_shard = second;
+    other_shard[0].shard = 1;
+    try {
+        c.read_outputs(1, other_shard);
+        FAIL() << "handle with shard 1 was not rejected";
+    } catch (const ServeError& e) {
+        EXPECT_EQ(e.code(), Err::BadHandle);
+    }
 }
 
 TEST_F(ServeFixture, TenantBudgetShedsWhileOthersStayBitExact) {
@@ -417,8 +422,7 @@ TEST_F(ServeFixture, TenantBudgetShedsWhileOthersStayBitExact) {
 
 TEST_F(ServeFixture, PoolFullIsCoded) {
     ServerConfig cfg;
-    cfg.shards = 2;
-    cfg.shard_capacity = 2; // 4 slots total
+    cfg.shard_capacity = 4;
     start(cfg);
     Client c = connect();
     (void)c.create_instances(1, 4);
@@ -528,7 +532,8 @@ TEST_F(ServeFixture, StatsAndHttpMetrics) {
     const std::string text = c.stats(1);
     EXPECT_NE(text.find("sbd_serve_ticks_total 5"), std::string::npos) << text;
     EXPECT_NE(text.find("sbd_serve_requests_total"), std::string::npos);
-    EXPECT_NE(text.find("sbd_serve_shard_instances"), std::string::npos);
+    EXPECT_NE(text.find("sbd_serve_instances 3"), std::string::npos) << text;
+    EXPECT_NE(text.find("sbd_serve_capacity 16"), std::string::npos) << text;
 
     // The same registry over HTTP: a plain GET on the protocol port.
     Conn http = Conn::connect(server_->endpoint());
@@ -603,7 +608,7 @@ TEST_F(ServeFixture, DispatchFaultIsCodedAndRecoverable) {
     Client c = connect();
     const std::vector<WireHandle> h = c.create_instances(1, 1); // hit 1: passes
     try {
-        c.tick(1, 1); // hit 2: injected before any shard state is touched
+        c.tick(1, 1); // hit 2: injected before any engine state is touched
         FAIL() << "dispatch fault was not injected";
     } catch (const ServeError& e) {
         EXPECT_EQ(e.code(), Err::FaultInjected);
@@ -669,8 +674,7 @@ TEST_F(ServeFixture, AcceptFaultDropsConnectionCleanly) {
 
 TEST_F(ServeFixture, ConcurrentTenantsUnderChaosStayConsistent) {
     ServerConfig cfg;
-    cfg.shards = 2;
-    cfg.shard_capacity = 32;
+    cfg.shard_capacity = 64;
     start(cfg);
     resilience::ScopedFaultPlan plan(
         resilience::FaultPlan::parse("seed=11;serve.dispatch=p:0.15"));

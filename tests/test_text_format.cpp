@@ -144,6 +144,10 @@ struct BadCase {
     const char* text;
 };
 
+// ctest IDs end in the printed parameter. gtest's default printer would dump
+// this struct's bytes, whose pointers move between builds and runs.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class SbdParseErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(SbdParseErrors, Rejected) {

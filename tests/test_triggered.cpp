@@ -163,6 +163,10 @@ struct TrigEquivCase {
     Method method;
 };
 
+// ctest IDs end in the printed parameter; gtest's default byte dump of this
+// struct holds pointers. The case name is already in the ID.
+void PrintTo(const TrigEquivCase& c, std::ostream* os) { *os << to_string(c.method); }
+
 class TriggeredEquivalence : public ::testing::TestWithParam<TrigEquivCase> {};
 
 TEST_P(TriggeredEquivalence, MatchesReferenceSimulator) {

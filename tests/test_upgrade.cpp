@@ -198,9 +198,10 @@ void expect_upgrade_differential(const BlockPtr& old_root, const BlockPtr& new_r
     const codegen::CompiledSystem a_new = pa_new.compile(new_root);
     // The recompile is incremental exactly when the structural diff says
     // some subtree survived: flat models edited at the root reuse nothing.
-    if (upgrade::diff_models(old_root, new_root).units_reused > 0)
+    if (upgrade::diff_models(old_root, new_root).units_reused > 0) {
         EXPECT_GT(pa_new.stats().macro_reuses, 0u)
             << "incremental recompile hit nothing in the shared cache";
+    }
     const upgrade::MigrationPlan plan_a =
         upgrade::plan_migration(a_old, old_root, a_new, new_root);
     ASSERT_FALSE(plan_a.drain_and_replace()) << plan_a.drain_reason();
@@ -699,10 +700,7 @@ protected:
         codegen::Pipeline pipeline(popts, cache_);
         sys_ = pipeline.compile(model_);
         cfg.endpoint = serve::Endpoint::parse("tcp:127.0.0.1:0");
-        if (cfg.shards == 1 && cfg.shard_capacity == 1024) {
-            cfg.shards = 2;
-            cfg.shard_capacity = 8;
-        }
+        if (cfg.shard_capacity == 1024) cfg.shard_capacity = 16;
         if (with_upgrade) {
             upgrade::CompileContext ctx;
             ctx.method = Method::Dynamic;
@@ -717,6 +715,8 @@ protected:
     BlockPtr model_;
     std::shared_ptr<codegen::ProfileCache> cache_;
     codegen::CompiledSystem sys_;
+    /// Declared before server_ so it outlives the server's handler threads.
+    obs::MetricsRegistry registry_;
     std::unique_ptr<serve::Server> server_;
 };
 
@@ -884,8 +884,7 @@ TEST_F(UpgradeServeFixture, InjectedUpgradeFaultIsCodedAndLeavesStateAlone) {
 
 TEST_F(UpgradeServeFixture, UpgradeUnderConcurrentTrafficNeverTears) {
     serve::ServerConfig cfg;
-    cfg.shards = 2;
-    cfg.shard_capacity = 32;
+    cfg.shard_capacity = 64;
     start(true, cfg);
 
     constexpr std::size_t kTenants = 3;
@@ -941,9 +940,8 @@ TEST_F(UpgradeServeFixture, UpgradeUnderConcurrentTrafficNeverTears) {
 }
 
 TEST_F(UpgradeServeFixture, UpgradeMetricsAreExported) {
-    obs::MetricsRegistry registry;
     serve::ServerConfig cfg;
-    cfg.metrics = &registry;
+    cfg.metrics = &registry_;
     start(true, cfg);
     serve::Client c = connect();
     (void)c.create_instances(1, 2);
@@ -955,7 +953,7 @@ TEST_F(UpgradeServeFixture, UpgradeMetricsAreExported) {
     } catch (const serve::ServeError&) {
     }
 
-    const obs::Snapshot snap = registry.snapshot();
+    const obs::Snapshot snap = registry_.snapshot();
     const auto counter = [&](const char* name) {
         const obs::Sample* s = snap.find(name);
         return s == nullptr ? std::uint64_t(0) : s->value;

@@ -163,9 +163,13 @@ private:
             head += ' ';
             head += value_name;
         }
-        std::fprintf(to, "%-17s", head.c_str());
-        // Multi-line help: continuation lines are pre-indented by callers.
-        std::fprintf(to, "%s\n", help);
+        // Help text starts in column 17; a head too long to leave a gap
+        // before it gets a line of its own. Multi-line help: continuation
+        // lines are pre-indented by callers.
+        if (head.size() < 17)
+            std::fprintf(to, "%-17s%s\n", head.c_str(), help);
+        else
+            std::fprintf(to, "%s\n%17s%s\n", head.c_str(), "", help);
     }
 
     void add(const char* name, const char* value_name, const char* help,

@@ -1,8 +1,7 @@
-// sbd-serve — long-running sharded simulation service for one compiled
-// model.
+// sbd-serve — long-running simulation service for one compiled model.
 //
 // Compiles the model through the standard pipeline (honoring --cache-dir
-// and --jobs like sbdc), then hosts N engine shards behind the SBDS binary
+// and --jobs like sbdc), then hosts one instance engine behind the SBDS binary
 // protocol on a TCP or Unix socket: CREATE_INSTANCES / DESTROY_INSTANCES /
 // POST_INPUTS / TICK / READ_OUTPUTS / SNAPSHOT / STATS / UPGRADE_MODEL /
 // SHUTDOWN. A plain HTTP `GET /metrics` on the same port answers the
@@ -10,18 +9,11 @@
 // coded TENANT_BUDGET rejections; a tick deadline rejects whole instants,
 // never tears one.
 //
-// UPGRADE_MODEL hot-swaps a new model version into the running shards at
+// UPGRADE_MODEL hot-swaps a new model version into the running engine at
 // an instant boundary: unchanged subtrees are served from the boot-time
 // profile cache (only the changed frontier recompiles) and live instance
 // state migrates old -> new by stable block path. Rejections are coded
 // UPGRADE_REJECTED frames; --no-live-upgrade disables the opcode.
-//
-//   sbd-serve --listen tcp:127.0.0.1:7070 --shards 4 model.sbd
-//   sbd-serve --listen unix:/tmp/sbd.sock --tenant-max-instances 64 model.sbd
-//   sbd-serve --listen tcp:127.0.0.1:0 --endpoint-file ep.txt model.sbd &
-//
-// The daemon runs until SIGINT/SIGTERM or a protocol SHUTDOWN, then drains
-// and exits 0.
 //
 // With --data-dir the service is crash-safe: every mutation (CREATE /
 // DESTROY / POST_INPUTS / TICK / UPGRADE_MODEL) is appended to a
@@ -30,7 +22,7 @@
 // is restored and the journal tail replayed, rebuilding the exact acked
 // state bit-for-bit — --fsync picks the durability/latency trade-off.
 //
-//   sbd-serve --listen tcp:127.0.0.1:7070 --shards 4 model.sbd
+//   sbd-serve --listen tcp:127.0.0.1:7070 --capacity 4096 model.sbd
 //   sbd-serve --listen unix:/tmp/sbd.sock --tenant-max-instances 64 model.sbd
 //   sbd-serve --listen tcp:127.0.0.1:0 --endpoint-file ep.txt model.sbd &
 //   sbd-serve --data-dir /var/lib/sbd --fsync always model.sbd
@@ -144,7 +136,6 @@ int journal_dump(const std::string& path) {
 int main(int argc, char** argv) {
     std::string listen_spec = "tcp:127.0.0.1:7070";
     std::string endpoint_file;
-    std::size_t shards = 1;
     std::size_t capacity = 1024;
     std::size_t engine_threads = 1;
     std::size_t jobs = 1;
@@ -170,10 +161,9 @@ int main(int argc, char** argv) {
                 "write the bound endpoint (ephemeral port resolved) to FILE\n"
                 "                 once listening — for scripts",
                 &endpoint_file);
-    parser.flag("--shards", "N", "engine shards                      (default 1)", &shards);
-    parser.flag("--capacity", "N", "instance slots per shard           (default 1024)",
+    parser.flag("--capacity", "N", "instance slots                     (default 1024)",
                 &capacity);
-    parser.flag("--engine-threads", "K", "worker threads per shard engine    (default 1)",
+    parser.flag("--engine-threads", "K", "worker threads of the engine       (default 1)",
                 &engine_threads);
     parser.flag("--jobs", "N", "parallel compilation workers       (default 1)", &jobs);
     parser.flag("--method", "M",
@@ -181,7 +171,7 @@ int main(int argc, char** argv) {
                 "                 disjoint-greedy | singletons       (default: dynamic)",
                 &method_name);
     parser.flag("--backend", "B",
-                "interp | native shard execution; native AOT-compiles\n"
+                "interp | native execution; native AOT-compiles\n"
                 "                 the generated C++ into one shared .so (default: interp)",
                 &backend_name);
     parser.flag("--cache-dir", "D", "reuse compiled profiles from D (shared with sbdc)",
@@ -226,7 +216,7 @@ int main(int argc, char** argv) {
 
     if (!journal_dump_path.empty()) return journal_dump(journal_dump_path);
 
-    if (parser.positionals().size() != 1 || shards == 0 || capacity == 0)
+    if (parser.positionals().size() != 1 || capacity == 0)
         return parser.usage(stderr), cli::kExitUsage;
     const auto fsync_mode = durable::parse_fsync_mode(fsync_name);
     if (!fsync_mode) {
@@ -299,7 +289,6 @@ int main(int argc, char** argv) {
 
         serve::ServerConfig cfg;
         cfg.endpoint = endpoint;
-        cfg.shards = shards;
         if (*backend == codegen::Backend::Native) {
             codegen::BackendConfig bc;
             bc.backend = codegen::Backend::Native;
@@ -376,8 +365,7 @@ int main(int argc, char** argv) {
             std::fprintf(f, "%s\n", bound.c_str());
             std::fclose(f);
         }
-        std::printf("sbd-serve: %zu shard(s) x %zu slots, listening on %s\n", shards,
-                    capacity, bound.c_str());
+        std::printf("sbd-serve: %zu slots, listening on %s\n", capacity, bound.c_str());
         std::fflush(stdout);
 
         install_signal_drain();
