@@ -1,7 +1,6 @@
 #include "core/emit_cpp.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -17,14 +16,6 @@ std::string sanitize_ident(const std::string& s) {
         out += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
     if (out.empty() || std::isdigit(static_cast<unsigned char>(out[0]))) out = "b_" + out;
     return out;
-}
-
-std::string dlit(double x) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", x);
-    std::string s(buf);
-    if (s.find_first_of(".eEn") == std::string::npos) s += ".0";
-    return s;
 }
 
 /// Unique C++ class names per block type.
@@ -62,7 +53,7 @@ void emit_atomic(std::ostream& os, const AtomicBlock& a, const std::string& cls)
     // init(): restore initial state.
     os << "  void init() {";
     for (std::size_t i = 0; i < nstate; ++i)
-        os << " s" << i << " = " << dlit(a.initial_state()[i]) << ";";
+        os << " s" << i << " = " << cpp_double_literal(a.initial_state()[i]) << ";";
     os << " }\n";
     // State serialization: the same flat-double layout the interpreter's
     // Instance::save_state uses, so snapshots cross backends bit-exactly.
@@ -123,7 +114,7 @@ void emit_atomic(std::ostream& os, const AtomicBlock& a, const std::string& cls)
     if (!a.initial_state().empty()) {
         os << "private:\n ";
         for (std::size_t i = 0; i < a.initial_state().size(); ++i)
-            os << " double s" << i << " = " << dlit(a.initial_state()[i]) << ";";
+            os << " double s" << i << " = " << cpp_double_literal(a.initial_state()[i]) << ";";
         os << "\n";
     }
     os << "};\n\n";
@@ -251,10 +242,14 @@ void emit_macro(std::ostream& os, const CompiledBlock& cb, const MacroBlock& m,
 } // namespace
 
 std::string emit_cpp(const CompiledSystem& sys) {
+    return "// Generated by sbdgen: modular code from a synchronous block diagram.\n"
+           "#include <algorithm>\n#include <array>\n#include <cmath>\n#include <cstddef>\n\n" +
+           emit_cpp_classes(sys);
+}
+
+std::string emit_cpp_classes(const CompiledSystem& sys) {
     std::ostringstream os;
-    os << "// Generated by sbdgen: modular code from a synchronous block diagram.\n"
-       << "#include <algorithm>\n#include <array>\n#include <cmath>\n#include <cstddef>\n\n"
-       << "namespace gen {\n\n";
+    os << "namespace gen {\n\n";
     NameTable names;
     for (const Block* b : sys.order()) {
         const CompiledBlock& cb = sys.at(*b);

@@ -17,6 +17,12 @@ namespace sbd::codegen {
 /// Throws std::runtime_error if some atomic block lacks CppSemantics.
 std::string emit_cpp(const CompiledSystem& sys);
 
+/// emit_cpp without its comment and #include lines: just the `namespace gen
+/// { ... }` classes. The caller puts in scope what the bodies use
+/// (std::size_t, std::array, std::min/max/clamp/fabs); the native backend
+/// does so with a header-free prelude.
+std::string emit_cpp_classes(const CompiledSystem& sys);
+
 /// Emits a main() that instantiates the root block, drives it for `steps`
 /// synchronous instants with a deterministic LCG input sequence (see
 /// lcg_input_trace for the host-side twin) and prints every output with

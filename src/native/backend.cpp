@@ -68,8 +68,14 @@ int run_command(const std::string& cmd, std::string* output) {
 /// defaults to contracting a*b+c into fused multiply-add at -O2, which
 /// rounds once where the interpreter rounds twice — the differential
 /// harness would see one-ulp drift on every fused expression.
+/// -nodefaultlibs drops libstdc++, libm and libgcc_s from the link: the
+/// header-free unit needs none of them. -z defs turns any symbol still
+/// unresolved into a CompileFailed here instead of a dlopen failure later.
 constexpr const char* kBaseFlags = "-std=c++17 -O2 -shared -fPIC -fno-fast-math "
-                                   "-ffp-contract=off";
+                                   "-ffp-contract=off -nodefaultlibs -Wl,-z,defs";
+/// Goes after the source file: the host compiler links with --as-needed, which
+/// drops a library that no object before it on the line references.
+constexpr const char* kLibs = "-lc";
 
 /// The interpreter's state_size(), computed statically from the compiled
 /// system — what the module's exported k_state_size must equal.
@@ -132,7 +138,8 @@ BuildResult build_artifact(const fs::path& path, const std::string& tu,
     }
     std::string cmd = driver + " " + kBaseFlags;
     if (!extra_flags.empty()) cmd += " " + extra_flags;
-    cmd += " -o " + shell_quote(tmp_so.string()) + " " + shell_quote(tmp_cpp.string());
+    cmd += " -o " + shell_quote(tmp_so.string()) + " " + shell_quote(tmp_cpp.string()) + " " +
+           kLibs;
 
     const std::uint64_t t0 = now_ns();
     std::string output;
@@ -287,6 +294,7 @@ make_native_executable(const codegen::CompiledSystem& sys, BlockPtr root,
         h.str(tu);
         h.str(*version);
         h.str(kBaseFlags);
+        h.str(kLibs);
         h.str(cfg.extra_flags);
         h.u32(kAbiVersion);
         info.store_key = h.digest().hex();

@@ -1,6 +1,8 @@
-// Emission of the native module translation unit: the portable generated
-// code from core/emit_cpp plus the extern "C" ABI shim that exposes one
-// root-block class through a C symbol table dlopen can bind.
+// Emission of the native module translation unit: a header-free prelude,
+// the generated classes from core/emit_cpp, and the extern "C" ABI shim
+// that exposes one root-block class through a C symbol table dlopen can
+// bind. The unit includes no header and needs no C++ runtime, so the
+// module links against libc alone (see kBaseFlags in backend.cpp).
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +14,43 @@
 namespace sbd::native {
 
 namespace {
+
+/// Stands in for the std headers the generated classes would include. It
+/// supplies only what the CppSemantics bodies and the class printer use;
+/// `gen` sees it as `std`. min, max and clamp copy libstdc++'s comparison
+/// order, so NaN and signed-zero operands pick the same result bits as the
+/// interpreter's std:: calls.
+constexpr const char* kPrelude =
+    R"(// Generated by sbdgen: a native module for a synchronous block diagram.
+// Self-contained: no #include, no C++ runtime.
+namespace sbd_rt {
+typedef __SIZE_TYPE__ size_t;
+typedef __UINT32_TYPE__ uint32_t;
+typedef __UINT64_TYPE__ uint64_t;
+template <typename T, size_t N> struct array {
+  T elems[N];
+  T& operator[](size_t i) { return elems[i]; }
+  const T& operator[](size_t i) const { return elems[i]; }
+};
+template <typename T> constexpr const T& min(const T& a, const T& b) {
+  if (b < a) return b;
+  return a;
+}
+template <typename T> constexpr const T& max(const T& a, const T& b) {
+  if (a < b) return b;
+  return a;
+}
+template <typename T> constexpr const T& clamp(const T& v, const T& lo, const T& hi) {
+  return sbd_rt::min(sbd_rt::max(v, lo), hi);
+}
+inline double fabs(double x) { return __builtin_fabs(x); }
+struct place_t {};
+template <typename T> void destroy(T* p) { p->~T(); }
+} // namespace sbd_rt
+inline void* operator new(sbd_rt::size_t, void* p, sbd_rt::place_t) noexcept { return p; }
+namespace gen { namespace std = ::sbd_rt; }
+
+)";
 
 /// A PDG-consistent interface-function order for the root profile — the
 /// same order the interpreter precomputes, so the exported step() visits
@@ -61,20 +100,29 @@ std::string emit_native_module(const codegen::CompiledSystem& sys) {
         codegen::fingerprint_block(*root.block).hex(); // method/options mixed in by the store
 
     std::ostringstream os;
-    os << emit_cpp(sys);
+    os << kPrelude << codegen::emit_cpp_classes(sys);
     os << "\n// --- sbdgen native ABI shim (see src/native/module.hpp) ---\n"
-       << "#include <cstdint>\n\n"
        << "extern \"C\" {\n\n"
-       << "std::uint32_t sbd_nat_abi() { return " << kAbiVersion << "u; }\n"
+       << "sbd_rt::uint32_t sbd_nat_abi() { return " << kAbiVersion << "u; }\n"
        << "const char* sbd_nat_key() { return \"" << key << "\"; }\n"
-       << "std::uint64_t sbd_nat_num_inputs() { return " << root.block->num_inputs()
+       << "sbd_rt::uint64_t sbd_nat_num_inputs() { return " << root.block->num_inputs()
        << "u; }\n"
-       << "std::uint64_t sbd_nat_num_outputs() { return " << root.block->num_outputs()
+       << "sbd_rt::uint64_t sbd_nat_num_outputs() { return " << root.block->num_outputs()
        << "u; }\n"
-       << "std::uint64_t sbd_nat_num_functions() { return " << p.functions.size() << "u; }\n"
-       << "std::uint64_t sbd_nat_state_size() { return " << cls << "::k_state_size; }\n\n"
-       << "void* sbd_nat_create() { return new " << cls << "(); }\n"
-       << "void sbd_nat_destroy(void* h) { delete static_cast<" << cls << "*>(h); }\n"
+       << "sbd_rt::uint64_t sbd_nat_num_functions() { return " << p.functions.size()
+       << "u; }\n"
+       << "sbd_rt::uint64_t sbd_nat_state_size() { return " << cls << "::k_state_size; }\n\n"
+       // malloc/free from libc instead of new/delete from the C++ runtime;
+       // a failed malloc returns nullptr, which the loader reports.
+       << "void* sbd_nat_create() {\n"
+       << "  void* p = __builtin_malloc(sizeof(" << cls << "));\n"
+       << "  return p == nullptr ? nullptr : new (p, sbd_rt::place_t{}) " << cls << "();\n"
+       << "}\n"
+       << "void sbd_nat_destroy(void* h) {\n"
+       << "  if (h == nullptr) return;\n"
+       << "  sbd_rt::destroy(static_cast<" << cls << "*>(h));\n"
+       << "  __builtin_free(h);\n"
+       << "}\n"
        << "void sbd_nat_init(void* h) { static_cast<" << cls << "*>(h)->init(); }\n"
        << "void sbd_nat_save(const void* h, double* out) {\n"
        << "  double* p = out;\n"
@@ -88,8 +136,8 @@ std::string emit_native_module(const codegen::CompiledSystem& sys) {
     // sbd_nat_call: one switch case per interface function. Arguments arrive
     // in reads order, results leave in writes order — exactly the
     // codegen::Instance::call_into contract.
-    os << "void sbd_nat_call(void* h, std::uint32_t fn, const double* args, double* results) "
-          "{\n"
+    os << "void sbd_nat_call(void* h, sbd_rt::uint32_t fn, const double* args, "
+          "double* results) {\n"
        << "  " << cls << "& root = *static_cast<" << cls << "*>(h);\n"
        << "  (void)args; (void)results;\n"
        << "  switch (fn) {\n";
@@ -110,7 +158,7 @@ std::string emit_native_module(const codegen::CompiledSystem& sys) {
        << "  " << cls << "& root = *static_cast<" << cls << "*>(h);\n"
        << "  (void)in;\n";
     if (root.block->num_outputs() > 0)
-        os << "  for (std::uint64_t o = 0; o < " << root.block->num_outputs()
+        os << "  for (sbd_rt::uint64_t o = 0; o < " << root.block->num_outputs()
            << "u; ++o) out[o] = 0.0;\n";
     else
         os << "  (void)out;\n";

@@ -34,10 +34,12 @@ inline constexpr std::uint32_t kAbiVersion = 1;
 /// nothing would pull the object file in).
 void install();
 
-/// The complete translation unit for a compiled system: emit_cpp() plus the
-/// extern "C" ABI shim (create/destroy/init/step/call/save/load + identity
-/// exports) the loader binds to. Throws std::runtime_error for systems that
-/// cannot be emitted (opaque blocks, atomics without C++ semantics).
+/// The complete translation unit for a compiled system: a header-free
+/// prelude, emit_cpp_classes(), and the extern "C" ABI shim
+/// (create/destroy/init/step/call/save/load + identity exports) the loader
+/// binds to. It includes no header and links against libc alone. Throws
+/// std::runtime_error for systems that cannot be emitted (opaque blocks,
+/// atomics without C++ semantics).
 std::string emit_native_module(const codegen::CompiledSystem& sys);
 
 /// The compiler driver the backend will invoke: cfg.compiler if set, else

@@ -1,8 +1,26 @@
 #include "sbd/block.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <sstream>
 
 namespace sbd {
+
+std::string cpp_double_literal(double x) {
+    char buf[64];
+    if (!std::isfinite(x)) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &x, sizeof bits);
+        std::snprintf(buf, sizeof buf, "__builtin_bit_cast(double, 0x%016llxULL)",
+                      static_cast<unsigned long long>(bits));
+        return buf;
+    }
+    std::snprintf(buf, sizeof buf, "%.17g", x);
+    std::string s(buf);
+    if (s.find_first_of(".eE") == std::string::npos) s += ".0";
+    return s;
+}
 
 const char* to_string(BlockClass c) {
     switch (c) {

@@ -84,11 +84,18 @@ private:
 /// C++ source form of an atomic block's semantics, used by the C++ emitter
 /// so that generated code is compilable stand-alone. Bodies are statement
 /// lists over variables u0,u1,... (inputs), s0,s1,... (state) and
-/// y0,y1,... (outputs); <cmath> and <algorithm> are in scope.
+/// y0,y1,... (outputs). Only std::size_t, std::array, std::min, std::max,
+/// std::clamp and std::fabs may be used: the native backend's header-free
+/// prelude provides exactly these.
 struct CppSemantics {
     std::string output_body; ///< assigns y*; reads u*, s*
     std::string update_body; ///< assigns s*; reads u*, s* (sequential only)
 };
+
+/// A C++ expression for `x` that reads back bit-exactly: "%.17g" (with
+/// ".0" appended to integers) when finite, and __builtin_bit_cast over the
+/// raw bits otherwise, since `inf` and `nan` are not C++ tokens.
+std::string cpp_double_literal(double x);
 
 /// An atomic block with executable synchronous semantics:
 ///   outputs(k) = output_fn(state(k), inputs(k))   (inputs ignored if Moore)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <sstream>
 
@@ -17,14 +16,16 @@ std::vector<std::string> numbered(const std::string& prefix, std::size_t n) {
     return v;
 }
 
-/// Round-trip-exact C++ literal for a double.
+/// Round-trip-exact spelling of a double for type names and .sbd specs:
+/// the C++ literal when finite, else "inf", "-inf", "nan" or "-nan", which
+/// the text format reads back.
 std::string lit(double x) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", x);
-    std::string s(buf);
-    if (s.find_first_of(".eEn") == std::string::npos) s += ".0";
-    return s;
+    if (std::isfinite(x)) return cpp_double_literal(x);
+    return std::string(std::signbit(x) ? "-" : "") + (std::isnan(x) ? "nan" : "inf");
 }
+
+/// A double inside a CppSemantics body.
+std::string clit(double x) { return cpp_double_literal(x); }
 
 } // namespace
 
@@ -69,14 +70,14 @@ AtomicPtr constant(double c) {
     return make_combinational(
         "Constant(" + lit(c) + ")", {}, {"y"},
         [c](auto, auto, std::span<double> y) { y[0] = c; },
-        CppSemantics{"y0 = " + lit(c) + ";", ""}, "Constant " + lit(c));
+        CppSemantics{"y0 = " + clit(c) + ";", ""}, "Constant " + lit(c));
 }
 
 AtomicPtr gain(double k) {
     return make_combinational(
         "Gain(" + lit(k) + ")", {"u"}, {"y"},
         [k](auto, std::span<const double> u, std::span<double> y) { y[0] = k * u[0]; },
-        CppSemantics{"y0 = " + lit(k) + " * u0;", ""}, "Gain " + lit(k));
+        CppSemantics{"y0 = " + clit(k) + " * u0;", ""}, "Gain " + lit(k));
 }
 
 AtomicPtr sum(const std::string& signs) {
@@ -122,7 +123,7 @@ AtomicPtr integrator(double ts, double init) {
         "Integrator(" + lit(ts) + "," + lit(init) + ")", {"u"}, {"y"}, {init},
         [](std::span<const double> s, auto, std::span<double> y) { y[0] = s[0]; },
         [ts](std::span<double> s, std::span<const double> u) { s[0] += ts * u[0]; },
-        CppSemantics{"y0 = s0;", "s0 = s0 + " + lit(ts) + " * u0;"}, "Integrator " + lit(ts) + " " + lit(init));
+        CppSemantics{"y0 = s0;", "s0 = s0 + " + clit(ts) + " * u0;"}, "Integrator " + lit(ts) + " " + lit(init));
 }
 
 AtomicPtr fir2(double a, double b) {
@@ -133,7 +134,7 @@ AtomicPtr fir2(double a, double b) {
             y[0] = a * x[0] + b * s[0];
         },
         [](std::span<double> s, std::span<const double> x) { s[0] = x[0]; },
-        CppSemantics{"y0 = " + lit(a) + " * u0 + " + lit(b) + " * s0;", "s0 = u0;"}, "Fir2 " + lit(a) + " " + lit(b));
+        CppSemantics{"y0 = " + clit(a) + " * u0 + " + clit(b) + " * s0;", "s0 = u0;"}, "Fir2 " + lit(a) + " " + lit(b));
 }
 
 AtomicPtr saturation(double lo, double hi) {
@@ -142,7 +143,7 @@ AtomicPtr saturation(double lo, double hi) {
         [lo, hi](auto, std::span<const double> u, std::span<double> y) {
             y[0] = std::clamp(u[0], lo, hi);
         },
-        CppSemantics{"y0 = std::clamp(u0, " + lit(lo) + ", " + lit(hi) + ");", ""}, "Saturation " + lit(lo) + " " + lit(hi));
+        CppSemantics{"y0 = std::clamp(u0, " + clit(lo) + ", " + clit(hi) + ");", ""}, "Saturation " + lit(lo) + " " + lit(hi));
 }
 
 AtomicPtr divide() {
@@ -196,7 +197,7 @@ AtomicPtr switch_block(double threshold) {
         [threshold](auto, std::span<const double> u, std::span<double> y) {
             y[0] = u[1] >= threshold ? u[0] : u[2];
         },
-        CppSemantics{"y0 = (u1 >= " + lit(threshold) + ") ? u0 : u2;", ""}, "Switch " + lit(threshold));
+        CppSemantics{"y0 = (u1 >= " + clit(threshold) + ") ? u0 : u2;", ""}, "Switch " + lit(threshold));
 }
 
 AtomicPtr logic(const std::string& op, std::size_t n) {
@@ -236,8 +237,8 @@ AtomicPtr dead_zone(double lo, double hi) {
             else if (u[0] > hi) y[0] = u[0] - hi;
             else y[0] = 0.0;
         },
-        CppSemantics{"y0 = (u0 < " + lit(lo) + ") ? (u0 - " + lit(lo) + ") : (u0 > " + lit(hi) +
-                         ") ? (u0 - " + lit(hi) + ") : 0.0;",
+        CppSemantics{"y0 = (u0 < " + clit(lo) + ") ? (u0 - " + clit(lo) + ") : (u0 > " + clit(hi) +
+                         ") ? (u0 - " + clit(hi) + ") : 0.0;",
                      ""},
         "DeadZone " + lit(lo) + " " + lit(hi));
 }
@@ -247,9 +248,9 @@ AtomicPtr lookup1d(std::vector<double> xs, std::vector<double> ys) {
         throw ModelError("lookup1d: need >= 2 matching breakpoints");
     std::ostringstream body;
     body << "static const double xs[] = {";
-    for (std::size_t i = 0; i < xs.size(); ++i) body << (i ? "," : "") << lit(xs[i]);
+    for (std::size_t i = 0; i < xs.size(); ++i) body << (i ? "," : "") << clit(xs[i]);
     body << "}; static const double ys[] = {";
-    for (std::size_t i = 0; i < ys.size(); ++i) body << (i ? "," : "") << lit(ys[i]);
+    for (std::size_t i = 0; i < ys.size(); ++i) body << (i ? "," : "") << clit(ys[i]);
     body << "};\n";
     body << "    if (u0 <= xs[0]) { y0 = ys[0]; } else if (u0 >= xs[" << xs.size() - 1
          << "]) { y0 = ys[" << xs.size() - 1 << "]; } else {\n"
@@ -267,7 +268,11 @@ AtomicPtr lookup1d(std::vector<double> xs, std::vector<double> ys) {
             const double x = u[0];
             if (x <= xs.front()) { y[0] = ys.front(); return; }
             if (x >= xs.back()) { y[0] = ys.back(); return; }
-            const auto it = std::upper_bound(xs.begin(), xs.end(), x);
+            // The emitted `while (xs[hi] <= u0) ++hi;` over the interior
+            // only: a NaN input stops at hi = 1 there instead of running
+            // off the end of the table.
+            const auto it = std::partition_point(xs.begin() + 1, xs.end() - 1,
+                                                 [x](double v) { return v <= x; });
             const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
             const std::size_t lo = hi - 1;
             const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
@@ -280,7 +285,7 @@ AtomicPtr moving_average(std::size_t n) {
     if (n < 2) throw ModelError("moving_average: need n >= 2");
     std::string out_body = "y0 = (u0";
     for (std::size_t i = 0; i + 1 < n; ++i) out_body += " + s" + std::to_string(i);
-    out_body += ") / " + lit(static_cast<double>(n)) + ";";
+    out_body += ") / " + clit(static_cast<double>(n)) + ";";
     std::string upd_body;
     for (std::size_t i = 0; i + 2 < n; ++i)
         upd_body += "s" + std::to_string(i) + " = s" + std::to_string(i + 1) + "; ";
@@ -303,7 +308,7 @@ AtomicPtr moving_average(std::size_t n) {
 
 AtomicPtr first_order_filter(double b0, double b1, double a1) {
     // Direct form II: w(k) = u(k) - a1*w(k-1); y = b0*w(k) + b1*w(k-1).
-    const std::string upd = "s0 = u0 - " + lit(a1) + " * s0;";
+    const std::string upd = "s0 = u0 - " + clit(a1) + " * s0;";
     if (b0 != 0.0) {
         return make_sequential(
             "Filter1(" + lit(b0) + "," + lit(b1) + "," + lit(a1) + ")", {"u"}, {"y"}, {0.0},
@@ -313,7 +318,7 @@ AtomicPtr first_order_filter(double b0, double b1, double a1) {
                 y[0] = b0 * w + b1 * s[0];
             },
             [a1](std::span<double> s, std::span<const double> u) { s[0] = u[0] - a1 * s[0]; },
-            CppSemantics{"y0 = " + lit(b0) + " * (u0 - " + lit(a1) + " * s0) + " + lit(b1) +
+            CppSemantics{"y0 = " + clit(b0) + " * (u0 - " + clit(a1) + " * s0) + " + clit(b1) +
                              " * s0;",
                          upd},
             "Filter1 " + lit(b0) + " " + lit(b1) + " " + lit(a1));
@@ -324,7 +329,7 @@ AtomicPtr first_order_filter(double b0, double b1, double a1) {
             y[0] = b1 * s[0];
         },
         [a1](std::span<double> s, std::span<const double> u) { s[0] = u[0] - a1 * s[0]; },
-        CppSemantics{"y0 = " + lit(b1) + " * s0;", upd}, "Filter1 0 " + lit(b1) + " " + lit(a1));
+        CppSemantics{"y0 = " + clit(b1) + " * s0;", upd}, "Filter1 0 " + lit(b1) + " " + lit(a1));
 }
 
 AtomicPtr counter() {
@@ -366,8 +371,8 @@ AtomicPtr splitter2(double a1, double b1, double a2, double b2) {
             y[0] = a1 * u[0] + b1;
             y[1] = a2 * u[0] + b2;
         },
-        CppSemantics{"y0 = " + lit(a1) + " * u0 + " + lit(b1) + "; y1 = " + lit(a2) +
-                         " * u0 + " + lit(b2) + ";",
+        CppSemantics{"y0 = " + clit(a1) + " * u0 + " + clit(b1) + "; y1 = " + clit(a2) +
+                         " * u0 + " + clit(b2) + ";",
                      ""},
         "Split2 " + lit(a1) + " " + lit(b1) + " " + lit(a2) + " " + lit(b2));
 }
@@ -387,8 +392,8 @@ AtomicPtr clock_divider(std::size_t period, std::size_t phase) {
         [p](std::span<double> s, std::span<const double>) {
             s[0] = s[0] + 1.0 >= p ? 0.0 : s[0] + 1.0;
         },
-        CppSemantics{"y0 = (s0 == " + lit(ph) + ") ? 1.0 : 0.0;",
-                     "s0 = (s0 + 1.0 >= " + lit(p) + ") ? 0.0 : s0 + 1.0;"},
+        CppSemantics{"y0 = (s0 == " + clit(ph) + ") ? 1.0 : 0.0;",
+                     "s0 = (s0 + 1.0 >= " + clit(p) + ") ? 0.0 : s0 + 1.0;"},
         "Clock " + std::to_string(period) + " " + std::to_string(phase));
 }
 

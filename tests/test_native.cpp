@@ -11,15 +11,22 @@
 //  - Artifact-store healing: a corrupted .so is rebuilt, never fatal.
 //  - Byte-pinned emit_cpp goldens for two shipped models, so emitter
 //    drift fails loudly here instead of surfacing as a miscompile.
+//  - Every CppSemantics op on ±0, ±inf, NaN and subnormals, bitwise but
+//    for the sign of NaNs, and non-finite parameters; the built module
+//    needs only libc.so.6.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <sstream>
 
+#include <elf.h>
 #include <unistd.h>
 
 #include "core/compiler.hpp"
@@ -214,6 +221,258 @@ TEST_P(FuzzTriggered, NativeBitExactOnTriggeredHierarchies) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, FuzzTriggered, ::testing::Range<std::size_t>(0, 2));
+
+// ---------------------------------------- CppSemantics conformance
+
+/// Every library atom with C++ text, each fed straight from the root
+/// inputs, so each body sees the special values below unmodified.
+constexpr const char* kAllOpsModel = R"(
+block AllOps {
+  inputs a b c
+  outputs sat abs mn mx dv lt le gt ge eq ne sw land lor lxor lnot dz lut ma
+  outputs f1 f2 s1 s2 clk k g sum prod ud integ fir filt filt0 cnt sh
+  sub Sat Saturation -1 1
+  sub Ab Abs
+  sub Mn Min
+  sub Mx Max
+  sub Dv Div
+  sub Lt Relational <
+  sub Le Relational <=
+  sub Gt Relational >
+  sub Ge Relational >=
+  sub Eq Relational ==
+  sub Ne Relational !=
+  sub Sw Switch 0.5
+  sub LAnd Logic AND 2
+  sub LOr Logic OR 3
+  sub LXor Logic XOR 2
+  sub LNot Logic NOT 1
+  sub DZ DeadZone -0.5 0.5
+  sub Lut Lookup1D -1 0 0.5 2 / 3 -1 4 0.25
+  sub MA MovingAvg 3
+  sub Fan Fanout 2
+  sub Sp Split2 2 -1 0.5 3
+  sub Clk Clock 3 1
+  sub K Constant 1.5
+  sub G Gain -2
+  sub S Sum +-+
+  sub P Product 3
+  sub UD UnitDelay 0.25
+  sub I Integrator 0.5 1
+  sub F Fir2 0.5 0.25
+  sub Fl Filter1 0.5 0.25 -0.5
+  sub Fl0 Filter1 0 0.5 0.25
+  sub Cnt Counter
+  sub SH SampleHold 0
+  connect a Sat.u
+  connect a Ab.u
+  connect a Mn.u1
+  connect b Mn.u2
+  connect a Mx.u1
+  connect b Mx.u2
+  connect a Dv.u1
+  connect b Dv.u2
+  connect a Lt.u1
+  connect b Lt.u2
+  connect a Le.u1
+  connect b Le.u2
+  connect a Gt.u1
+  connect b Gt.u2
+  connect a Ge.u1
+  connect b Ge.u2
+  connect a Eq.u1
+  connect b Eq.u2
+  connect a Ne.u1
+  connect b Ne.u2
+  connect a Sw.u1
+  connect b Sw.ctrl
+  connect c Sw.u2
+  connect a LAnd.u1
+  connect b LAnd.u2
+  connect a LOr.u1
+  connect b LOr.u2
+  connect c LOr.u3
+  connect a LXor.u1
+  connect b LXor.u2
+  connect a LNot.u1
+  connect a DZ.u
+  connect a Lut.u
+  connect a MA.u
+  connect a Fan.u
+  connect a Sp.x
+  connect a G.u
+  connect a S.u1
+  connect b S.u2
+  connect c S.u3
+  connect a P.u1
+  connect b P.u2
+  connect c P.u3
+  connect a UD.u
+  connect a I.u
+  connect a F.x
+  connect a Fl.u
+  connect a Fl0.u
+  connect b Cnt.enable
+  connect a SH.u
+  connect b SH.trigger
+  connect Sat.y sat
+  connect Ab.y abs
+  connect Mn.y mn
+  connect Mx.y mx
+  connect Dv.y dv
+  connect Lt.y lt
+  connect Le.y le
+  connect Gt.y gt
+  connect Ge.y ge
+  connect Eq.y eq
+  connect Ne.y ne
+  connect Sw.y sw
+  connect LAnd.y land
+  connect LOr.y lor
+  connect LXor.y lxor
+  connect LNot.y lnot
+  connect DZ.y dz
+  connect Lut.y lut
+  connect MA.y ma
+  connect Fan.y1 f1
+  connect Fan.y2 f2
+  connect Sp.z1 s1
+  connect Sp.z2 s2
+  connect Clk.y clk
+  connect K.y k
+  connect G.y g
+  connect S.y sum
+  connect P.y prod
+  connect UD.y ud
+  connect I.y integ
+  connect F.y fir
+  connect Fl.y filt
+  connect Fl0.y filt0
+  connect Cnt.y cnt
+  connect SH.y sh
+}
+)";
+
+/// The DT_NEEDED entries of an ELF64 shared object.
+std::vector<std::string> needed_libraries(const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    const std::string elf{std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+    Elf64_Ehdr eh{};
+    EXPECT_GE(elf.size(), sizeof eh) << path;
+    if (elf.size() < sizeof eh) return {};
+    std::memcpy(&eh, elf.data(), sizeof eh);
+    EXPECT_EQ(std::memcmp(eh.e_ident, ELFMAG, SELFMAG), 0) << path;
+    EXPECT_EQ(eh.e_ident[EI_CLASS], ELFCLASS64) << path;
+    const auto section = [&](std::size_t i) {
+        Elf64_Shdr sh{};
+        std::memcpy(&sh, elf.data() + eh.e_shoff + i * eh.e_shentsize, sizeof sh);
+        return sh;
+    };
+    std::vector<std::string> needed;
+    for (std::size_t i = 0; i < eh.e_shnum; ++i) {
+        const Elf64_Shdr dyn = section(i);
+        if (dyn.sh_type != SHT_DYNAMIC) continue;
+        const Elf64_Shdr strtab = section(dyn.sh_link);
+        for (std::size_t off = 0; off + sizeof(Elf64_Dyn) <= dyn.sh_size;
+             off += sizeof(Elf64_Dyn)) {
+            Elf64_Dyn d{};
+            std::memcpy(&d, elf.data() + dyn.sh_offset + off, sizeof d);
+            if (d.d_tag == DT_NEEDED)
+                needed.emplace_back(elf.data() + strtab.sh_offset + d.d_un.d_val);
+        }
+    }
+    return needed;
+}
+
+/// The bits of `x`, minus the sign when `x` is a NaN. IEEE 754 (6.3) leaves
+/// the sign of a NaN result unspecified, and both backends' compilers use
+/// that freedom: GCC -O2 computes `2*u` as `-(-2*u)` when a block beside it
+/// computes `-2*u` (the negation flips a NaN's sign), and either NaN
+/// operand of a commutative op may be the one that propagates.
+std::uint64_t bits_modulo_nan_sign(double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return std::isnan(x) ? b & ~(std::uint64_t{1} << 63) : b;
+}
+
+void expect_rows_equal_modulo_nan_sign(std::span<const double> a, std::span<const double> b,
+                                       const std::string& what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(bits_modulo_nan_sign(a[i]), bits_modulo_nan_sign(b[i]))
+            << what << " [" << i << "]: interp " << a[i] << ", native " << b[i];
+}
+
+/// Drives `text`'s root on both backends over every (a, b) pair of `values`
+/// (c cycles out of step) and requires equal outputs every instant and
+/// equal state every 16 instants, bit for bit but for the sign of NaNs.
+/// Returns the module's path.
+std::string expect_special_values_match(const std::string& text,
+                                        const std::vector<double>& values) {
+    const auto root = text::parse_sbd_string(text).root;
+    const CompiledSystem sys = compile_hierarchy(root, Method::Dynamic);
+    InterpInstance interp(sys, root);
+    const auto exe = build_native(sys, root, Method::Dynamic);
+    const std::unique_ptr<Instance> nat = exe->instantiate();
+
+    const std::size_t n = values.size();
+    std::vector<double> in(root->num_inputs());
+    std::vector<double> out_i(root->num_outputs()), out_n(root->num_outputs());
+    for (std::size_t t = 0; t < n * n; ++t) {
+        const std::size_t pick[] = {t % n, t / n, (t * 7 + 3) % n};
+        for (std::size_t i = 0; i < in.size(); ++i) in[i] = values[pick[i]];
+        interp.step_instant_into(in, out_i);
+        nat->step_instant_into(in, out_n);
+        const std::string ctx = root->type_name() + " t=" + std::to_string(t);
+        expect_rows_equal_modulo_nan_sign(out_i, out_n, ctx + " outputs");
+        if (t % 16 == 15) {
+            std::vector<double> si, sn;
+            interp.save_state(si);
+            nat->save_state(sn);
+            expect_rows_equal_modulo_nan_sign(si, sn, ctx + " state");
+        }
+    }
+    return native::build_info(*exe)->artifact_path;
+}
+
+TEST(NativeConformance, EveryCppSemanticsOpMatchesOnSpecialValues) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double qnan = std::numeric_limits<double>::quiet_NaN();
+    const double sub = std::numeric_limits<double>::denorm_min();
+    const double max_sub = std::nextafter(std::numeric_limits<double>::min(), 0.0);
+    // ±0, ±inf, NaN, subnormals, the Lookup1D breakpoints (-1, 0, 0.5, 2;
+    // 0.5 is also the logic and switch threshold), then ordinary values.
+    const std::vector<double> values = {
+        0.0, -0.0, inf, -inf, qnan, sub, -sub, max_sub,
+        -1.0, 0.5, 2.0, 1.0, -0.5, 3.0,
+    };
+    const std::string so = expect_special_values_match(kAllOpsModel, values);
+    // The module links against libc alone: no libstdc++, libm or libgcc_s.
+    EXPECT_EQ(needed_libraries(so), std::vector<std::string>{"libc.so.6"}) << so;
+}
+
+TEST(NativeConformance, NonFiniteParametersBuildAndMatch) {
+    const std::string text = R"(
+block NonFinite {
+  inputs u
+  outputs pinf ninf gnan hold
+  sub PInf Constant inf
+  sub NInf Constant -inf
+  sub GNan Gain nan
+  sub Hold UnitDelay -inf
+  connect u GNan.u
+  connect u Hold.u
+  connect PInf.y pinf
+  connect NInf.y ninf
+  connect GNan.y gnan
+  connect Hold.y hold
+}
+)";
+    const std::string so = expect_special_values_match(
+        text, {0.0, -0.0, 1.0, std::numeric_limits<double>::infinity(),
+               std::numeric_limits<double>::quiet_NaN()});
+    EXPECT_EQ(needed_libraries(so), std::vector<std::string>{"libc.so.6"}) << so;
+}
 
 // ------------------------------------------------ state-layout contract
 

@@ -24,6 +24,10 @@
 // lands or the run ends. Rejections are counted by code; an upgrade that
 // never applies exits 10.
 //
+// A run in which no tenant ever connected exits 1 without sending
+// --shutdown: whatever listens at the endpoint by then is not the server
+// the run measured.
+//
 // Exit codes: 0 ok, 1 transport/internal error, 2 usage,
 //             8 coded protocol rejection (only with --fail-on-reject),
 //             10 requested upgrade never applied.
@@ -56,6 +60,7 @@ struct TenantResult {
     std::vector<std::uint64_t> tick_ns;           ///< latency of each TICK round-trip
     std::uint64_t transport_errors = 0;
     std::size_t instances = 0;
+    bool connected = false; ///< the tenant's connect() succeeded
 };
 
 std::uint64_t percentile(std::vector<std::uint64_t>& sorted, double p) {
@@ -175,6 +180,7 @@ int main(int argc, char** argv) {
             const std::uint64_t tenant_id = t + 1; // 0 is reserved for control calls
             try {
                 serve::Client client = serve::Client::connect(endpoint);
+                res.connected = true;
                 std::vector<serve::WireHandle> handles;
                 try {
                     handles = client.create_instances(
@@ -266,9 +272,11 @@ int main(int argc, char** argv) {
 
     // Aggregate.
     std::uint64_t sent = 0, ok = 0, transport_errors = 0;
+    bool any_connected = false;
     std::map<serve::Err, std::uint64_t> rejected;
     std::vector<std::uint64_t> all_ns;
     for (const TenantResult& r : results) {
+        any_connected = any_connected || r.connected;
         sent += r.sent;
         ok += r.ok;
         transport_errors += r.transport_errors;
@@ -376,6 +384,13 @@ int main(int argc, char** argv) {
         std::fclose(f);
     }
 
+    // A run that never reached the server must not drain whatever listens
+    // there now (a restarted daemon behind the same stale socket path).
+    if (!any_connected) {
+        if (do_shutdown)
+            std::fprintf(stderr, "sbd-loadgen: no tenant connected; not sending SHUTDOWN\n");
+        return cli::kExitError;
+    }
     try {
         if (!stats_out.empty()) {
             serve::Client c = serve::Client::connect(endpoint);
