@@ -5,9 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
-#include <sstream>
 
 namespace sbd::analysis {
+
+using lib::Op;
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -218,75 +219,6 @@ bool join_into(Interval& dst, const Interval& v) {
 bool possible_true(const Interval& u) { return !u.empty_real() && u.hi >= 0.5; }
 bool possible_false(const Interval& u) { return u.nan || (!u.empty_real() && u.lo < 0.5); }
 
-enum class AtomOp {
-    Constant, Gain, Sum, Product, UnitDelay, Integrator, Fir2, Saturation,
-    Abs, Div, Min, Max, Relational, Switch, Logic, DeadZone, Lookup,
-    MovingAvg, Filter1, Counter, Fanout, SampleHold, Split2, Clock, Unknown,
-};
-
-/// A library atomic's semantics recovered from its .sbd text spec
-/// ("Gain 2", "Lookup1D 0 1 / 5 9", ...). Unparseable specs (custom
-/// in-process atomics) degrade to Unknown = top.
-struct AtomSem {
-    AtomOp op = AtomOp::Unknown;
-    std::vector<double> nums; ///< numeric params in spec order (xs for Lookup)
-    std::vector<double> ys;   ///< Lookup1D's second list
-    std::string word;         ///< Sum signs, Relational/Logic operator
-};
-
-AtomSem parse_spec(const std::string& spec) {
-    AtomSem s;
-    std::istringstream is(spec);
-    std::string head;
-    if (!(is >> head)) return s;
-    const auto nums = [&](std::size_t need) {
-        double v = 0.0;
-        while (is >> v) s.nums.push_back(v);
-        return s.nums.size() >= need;
-    };
-    const auto pick = [&](AtomOp op, bool ok) {
-        s.op = ok ? op : AtomOp::Unknown;
-        return s;
-    };
-    if (head == "Constant") return pick(AtomOp::Constant, nums(1));
-    if (head == "Gain") return pick(AtomOp::Gain, nums(1));
-    if (head == "Sum") return pick(AtomOp::Sum, bool(is >> s.word));
-    if (head == "Product") return pick(AtomOp::Product, nums(1));
-    if (head == "UnitDelay") return pick(AtomOp::UnitDelay, nums(1));
-    if (head == "Integrator") return pick(AtomOp::Integrator, nums(2));
-    if (head == "Fir2") return pick(AtomOp::Fir2, nums(2));
-    if (head == "Saturation") return pick(AtomOp::Saturation, nums(2));
-    if (head == "Abs") return pick(AtomOp::Abs, true);
-    if (head == "Div") return pick(AtomOp::Div, true);
-    if (head == "Min") return pick(AtomOp::Min, true);
-    if (head == "Max") return pick(AtomOp::Max, true);
-    if (head == "Relational") return pick(AtomOp::Relational, bool(is >> s.word));
-    if (head == "Switch") return pick(AtomOp::Switch, nums(1));
-    if (head == "Logic") return pick(AtomOp::Logic, bool(is >> s.word) && nums(1));
-    if (head == "DeadZone") return pick(AtomOp::DeadZone, nums(2));
-    if (head == "MovingAvg") return pick(AtomOp::MovingAvg, nums(1));
-    if (head == "Filter1") return pick(AtomOp::Filter1, nums(3));
-    if (head == "Counter") return pick(AtomOp::Counter, true);
-    if (head == "Fanout") return pick(AtomOp::Fanout, nums(1));
-    if (head == "SampleHold") return pick(AtomOp::SampleHold, nums(1));
-    if (head == "Split2") return pick(AtomOp::Split2, nums(4));
-    if (head == "Clock") return pick(AtomOp::Clock, nums(2));
-    if (head == "Lookup1D") {
-        std::string tok;
-        bool after_slash = false;
-        while (is >> tok) {
-            if (tok == "/") { after_slash = true; continue; }
-            char* end = nullptr;
-            const double v = std::strtod(tok.c_str(), &end);
-            if (end == tok.c_str()) return s;
-            (after_slash ? s.ys : s.nums).push_back(v);
-        }
-        const bool ok = after_slash && s.nums.size() >= 2 && s.nums.size() == s.ys.size();
-        return pick(AtomOp::Lookup, ok);
-    }
-    return s;
-}
-
 /// Tri-state comparison: the set of outcomes {0, 1} reachable from the
 /// operand intervals, mirroring IEEE semantics (every comparison with NaN
 /// is false except !=).
@@ -355,57 +287,61 @@ Interval logic_result(const std::string& op, std::span<const Interval> in) {
 /// One abstract firing of a library atomic: computes outputs from
 /// (state, inputs), then applies the state update — the per-instant
 /// contract of the concrete interpreter, operation for operation.
-void atomic_fire(const AtomSem& sem, std::span<const Interval> in,
+void atomic_fire(const lib::Atom& atom, std::span<const Interval> in,
                  std::vector<Interval>& state, std::vector<Interval>& out) {
-    switch (sem.op) {
-    case AtomOp::Constant: out[0] = Interval::point(sem.nums[0]); return;
-    case AtomOp::Gain: out[0] = iv_mul(Interval::point(sem.nums[0]), in[0]); return;
-    case AtomOp::Sum: {
+    const std::vector<double>& par = atom.nums;
+    switch (atom.op) {
+    case Op::Constant: out[0] = Interval::point(par[0]); return;
+    case Op::Gain: out[0] = iv_mul(Interval::point(par[0]), in[0]); return;
+    case Op::Sum: {
         Interval acc = Interval::point(0.0);
-        for (std::size_t i = 0; i < sem.word.size() && i < in.size(); ++i)
-            acc = sem.word[i] == '-' ? iv_sub(acc, in[i]) : iv_add(acc, in[i]);
+        for (std::size_t i = 0; i < atom.word.size() && i < in.size(); ++i)
+            acc = atom.word[i] == '-' ? iv_sub(acc, in[i]) : iv_add(acc, in[i]);
         out[0] = acc;
         return;
     }
-    case AtomOp::Product: {
+    case Op::Product: {
         Interval acc = Interval::point(1.0);
         for (const Interval& u : in) acc = iv_mul(acc, u);
         out[0] = acc;
         return;
     }
-    case AtomOp::UnitDelay:
+    case Op::UnitDelay:
         out[0] = state[0];
         state[0] = in[0];
         return;
-    case AtomOp::Integrator:
+    case Op::Integrator:
         out[0] = state[0];
-        state[0] = iv_add(state[0], iv_mul(Interval::point(sem.nums[0]), in[0]));
+        state[0] = iv_add(state[0], iv_mul(Interval::point(par[0]), in[0]));
         return;
-    case AtomOp::Fir2:
-        out[0] = iv_add(iv_mul(Interval::point(sem.nums[0]), in[0]),
-                        iv_mul(Interval::point(sem.nums[1]), state[0]));
+    case Op::Fir2:
+        out[0] = iv_add(iv_mul(Interval::point(par[0]), in[0]),
+                        iv_mul(Interval::point(par[1]), state[0]));
         state[0] = in[0];
         return;
-    case AtomOp::Saturation: out[0] = iv_clamp(in[0], sem.nums[0], sem.nums[1]); return;
-    case AtomOp::Abs: out[0] = iv_abs(in[0]); return;
-    case AtomOp::Div: out[0] = iv_div(in[0], in[1]).value; return;
-    case AtomOp::Min: out[0] = iv_min(in[0], in[1]); return;
-    case AtomOp::Max: out[0] = iv_max(in[0], in[1]); return;
-    case AtomOp::Relational: out[0] = rel_result(sem.word, in[0], in[1]); return;
-    case AtomOp::Switch: {
+    case Op::Saturation: out[0] = iv_clamp(in[0], par[0], par[1]); return;
+    case Op::Abs: out[0] = iv_abs(in[0]); return;
+    case Op::Div: out[0] = iv_div(in[0], in[1]).value; return;
+    case Op::Min: out[0] = iv_min(in[0], in[1]); return;
+    case Op::Max: out[0] = iv_max(in[0], in[1]); return;
+    case Op::Relational: out[0] = rel_result(atom.word, in[0], in[1]); return;
+    case Op::Switch: {
         const Interval& ctrl = in[1];
-        const double th = sem.nums[0];
+        const double th = par[0];
         Interval r = Interval::bottom();
-        // NaN control compares false and selects u2.
+        // A NaN control or threshold compares false and selects u2.
         if (!ctrl.empty_real() && ctrl.hi >= th) r = iv_join(r, in[0]);
-        if (ctrl.nan || (!ctrl.empty_real() && ctrl.lo < th)) r = iv_join(r, in[2]);
+        if (ctrl.nan || (!ctrl.empty_real() && !(ctrl.lo >= th))) r = iv_join(r, in[2]);
         out[0] = r;
         return;
     }
-    case AtomOp::Logic: out[0] = logic_result(sem.word, in); return;
-    case AtomOp::DeadZone: {
-        const double lo = sem.nums[0], hi = sem.nums[1];
+    case Op::Logic: out[0] = logic_result(atom.word, in); return;
+    case Op::DeadZone: {
+        const double lo = par[0], hi = par[1];
         const Interval& u = in[0];
+        // A NaN bound fails its test for every input; the result is then
+        // some real, NaN only from a NaN input, which yields 0.
+        if (std::isnan(lo) || std::isnan(hi)) { out[0] = Interval::top(); return; }
         Interval r = Interval::bottom();
         if (!u.empty_real()) {
             if (u.lo < lo)
@@ -421,25 +357,28 @@ void atomic_fire(const AtomSem& sem, std::span<const Interval> in,
         out[0] = r;
         return;
     }
-    case AtomOp::Lookup: {
+    case Op::Lookup1D: {
         const Interval& u = in[0];
+        const std::size_t n = par.size() / 2; // breakpoints par[0, n), values par[n, 2n)
+        const auto finite = [](double v) { return std::isfinite(v); };
         Interval r = Interval::bottom();
         if (!u.empty_real()) {
-            if (!u.nan && u.hi <= sem.nums.front()) r = Interval::point(sem.ys.front());
-            else if (!u.nan && u.lo >= sem.nums.back()) r = Interval::point(sem.ys.back());
-            else {
+            if (!u.nan && u.hi <= par[0]) r = Interval::point(par[n]);
+            else if (!u.nan && u.lo >= par[n - 1]) r = Interval::point(par[2 * n - 1]);
+            else if (std::all_of(par.begin(), par.end(), finite)) {
                 // Interpolation stays within the breakpoint values up to a
                 // final rounding step; widen both bounds by one ulp.
-                double lo = sem.ys[0], hi = sem.ys[0];
-                for (const double y : sem.ys) { lo = std::min(lo, y); hi = std::max(hi, y); }
-                r = Interval::make(std::nextafter(lo, -kInf), std::nextafter(hi, kInf));
+                const auto [lo, hi] = std::minmax_element(par.begin() + n, par.end());
+                r = Interval::make(std::nextafter(*lo, -kInf), std::nextafter(*hi, kInf));
+            } else {
+                r = Interval{-kInf, kInf, true}; // inf - inf, 0 * inf, NaN entries
             }
         }
         if (u.nan) { r.nan = true; r = iv_join(r, Interval::top()); }
         out[0] = r;
         return;
     }
-    case AtomOp::MovingAvg: {
+    case Op::MovingAvg: {
         Interval acc = in[0];
         for (const Interval& s : state) acc = iv_add(acc, s);
         out[0] = iv_div(acc, Interval::point(static_cast<double>(state.size() + 1))).value;
@@ -447,8 +386,8 @@ void atomic_fire(const AtomSem& sem, std::span<const Interval> in,
         state.back() = in[0];
         return;
     }
-    case AtomOp::Filter1: {
-        const double b0 = sem.nums[0], b1 = sem.nums[1], a1 = sem.nums[2];
+    case Op::Filter1: {
+        const double b0 = par[0], b1 = par[1], a1 = par[2];
         const Interval w = iv_sub(in[0], iv_mul(Interval::point(a1), state[0]));
         // The Moore variant (b0 == 0) computes y = b1*s directly; going
         // through b0*w would fabricate a 0*inf NaN the kernel never sees.
@@ -458,7 +397,7 @@ void atomic_fire(const AtomSem& sem, std::span<const Interval> in,
         state[0] = w;
         return;
     }
-    case AtomOp::Counter: {
+    case Op::Counter: {
         out[0] = state[0];
         Interval next = Interval::bottom();
         if (possible_false(in[0])) next = iv_join(next, state[0]);
@@ -467,10 +406,10 @@ void atomic_fire(const AtomSem& sem, std::span<const Interval> in,
         state[0] = next;
         return;
     }
-    case AtomOp::Fanout:
+    case Op::Fanout:
         for (Interval& y : out) y = in[0];
         return;
-    case AtomOp::SampleHold: {
+    case Op::SampleHold: {
         out[0] = state[0];
         Interval next = Interval::bottom();
         if (possible_false(in[1])) next = iv_join(next, state[0]);
@@ -478,14 +417,12 @@ void atomic_fire(const AtomSem& sem, std::span<const Interval> in,
         state[0] = next;
         return;
     }
-    case AtomOp::Split2:
-        out[0] = iv_add(iv_mul(Interval::point(sem.nums[0]), in[0]),
-                        Interval::point(sem.nums[1]));
-        out[1] = iv_add(iv_mul(Interval::point(sem.nums[2]), in[0]),
-                        Interval::point(sem.nums[3]));
+    case Op::Split2:
+        out[0] = iv_add(iv_mul(Interval::point(par[0]), in[0]), Interval::point(par[1]));
+        out[1] = iv_add(iv_mul(Interval::point(par[2]), in[0]), Interval::point(par[3]));
         return;
-    case AtomOp::Clock: {
-        const double p = sem.nums[0], ph = sem.nums[1];
+    case Op::Clock: {
+        const double p = par[0], ph = par[1];
         const Interval& s = state[0];
         if (s.lo == s.hi && !s.nan) {
             out[0] = Interval::point(s.lo == ph ? 1.0 : 0.0);
@@ -503,8 +440,8 @@ void atomic_fire(const AtomSem& sem, std::span<const Interval> in,
         }
         return;
     }
-    case AtomOp::Unknown:
-        // Custom in-process atomic with no recoverable semantics. Assume
+    case Op::Custom:
+        // Custom in-process atomic with no library semantics. Assume
         // it is NaN-free (top's nan flag is false) but otherwise anything.
         for (Interval& y : out) y = Interval::top();
         for (Interval& s : state) s = Interval::top();
@@ -609,8 +546,8 @@ BlockSummary Analyzer::compute(const BlockPtr& block, std::span<const Interval> 
 
 BlockSummary Analyzer::compute_atomic(const AtomicBlock& a, std::span<const Interval> first_in,
                                       std::span<const Interval> all_in) {
-    const AtomSem sem = parse_spec(a.text_spec());
-    if (sem.op == AtomOp::Unknown) return top_summary(a.num_outputs());
+    const lib::Atom& atom = a.atom();
+    if (atom.op == Op::Custom) return top_summary(a.num_outputs());
 
     BlockSummary sum;
     std::vector<Interval> state;
@@ -620,7 +557,7 @@ BlockSummary Analyzer::compute_atomic(const AtomicBlock& a, std::span<const Inte
 
     // Instant 0 is exact: initial state, first-instant inputs.
     sum.first_outputs.assign(a.num_outputs(), Interval::bottom());
-    atomic_fire(sem, first_in, state, sum.first_outputs);
+    atomic_fire(atom, first_in, state, sum.first_outputs);
     sum.outputs = sum.first_outputs;
 
     // All-instant fixpoint over the accumulated state join. The join
@@ -632,7 +569,7 @@ BlockSummary Analyzer::compute_atomic(const AtomicBlock& a, std::span<const Inte
     for (std::size_t iter = 1; iter <= opts_.max_instants; ++iter) {
         std::vector<Interval> st = acc;
         std::vector<Interval> out(a.num_outputs(), Interval::bottom());
-        atomic_fire(sem, all_in, st, out);
+        atomic_fire(atom, all_in, st, out);
         bool changed = false;
         for (std::size_t o = 0; o < out.size(); ++o) changed |= join_into(sum.outputs[o], out[o]);
         for (std::size_t i = 0; i < acc.size(); ++i) {
@@ -877,11 +814,11 @@ BlockSummary Analyzer::compute_macro(const MacroBlock& m, std::span<const Interv
             for (const Diagnostic& d : ss.hazards) absorb(d);
         }
         if (!sb.type->is_atomic() || sb.type->is_opaque()) continue;
-        const AtomSem sem = parse_spec(static_cast<const AtomicBlock&>(*sb.type).text_spec());
+        const lib::Atom& atom = static_cast<const AtomicBlock&>(*sb.type).atom();
         std::vector<Interval> args(ctx.all_args.size());
         for (std::size_t k = 0; k < args.size(); ++k)
             args[k] = iv_join(ctx.first_args[k], ctx.all_args[k]);
-        if (sem.op == AtomOp::Div && args.size() == 2 && !args[1].is_bottom()) {
+        if (atom.op == Op::Div && args.size() == 2 && !args[1].is_bottom()) {
             const Interval& den = args[1];
             if (!den.empty_real() && den.lo == 0.0 && den.hi == 0.0 && !den.nan) {
                 absorb(Diagnostic{"SBD022", Severity::Error, sb.loc,
@@ -897,9 +834,9 @@ BlockSummary Analyzer::compute_macro(const MacroBlock& m, std::span<const Interv
                                   {}});
             }
         }
-        if (sem.op == AtomOp::Switch && args.size() == 3 && !args[1].is_bottom()) {
+        if (atom.op == Op::Switch && args.size() == 3 && !args[1].is_bottom()) {
             const Interval& ctrl = args[1];
-            const double th = sem.nums[0];
+            const double th = atom.nums[0];
             char thbuf[32];
             std::snprintf(thbuf, sizeof thbuf, "%.6g", th);
             if (!ctrl.nan && !ctrl.empty_real() && ctrl.lo >= th) {

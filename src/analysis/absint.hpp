@@ -42,7 +42,10 @@ struct Interval {
         return {std::numeric_limits<double>::infinity(),
                 -std::numeric_limits<double>::infinity(), false};
     }
-    static Interval point(double v) { return {v, v, false}; }
+    /// The constant v: NaN on every instant when v is NaN.
+    static Interval point(double v) {
+        return std::isnan(v) ? Interval{bottom().lo, bottom().hi, true} : Interval{v, v, false};
+    }
     static Interval make(double lo, double hi) { return {lo, hi, false}; }
 
     bool empty_real() const { return lo > hi; }

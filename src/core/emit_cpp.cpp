@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sbd/library.hpp"
+
 namespace sbd::codegen {
 
 namespace {
@@ -44,7 +46,7 @@ std::string return_type(std::size_t nout) {
 }
 
 void emit_atomic(std::ostream& os, const AtomicBlock& a, const std::string& cls) {
-    const auto& cpp = a.cpp_semantics();
+    const auto cpp = lib::cpp_semantics(a);
     if (!cpp)
         throw std::runtime_error("emit_cpp: atomic block '" + a.type_name() +
                                  "' has no C++ semantics");

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "sbd/library.hpp"
 #include "sbd/opaque.hpp"
 
 namespace sbd::codegen {
@@ -95,14 +96,14 @@ Fingerprint fingerprint_atomic(const AtomicBlock& a) {
     Hasher h;
     h.str("atomic");
     h.str(a.type_name());
-    h.str(a.text_spec());
+    h.str(lib::sbd_spec(a));
     absorb_ports(h, a);
     h.u8(static_cast<std::uint8_t>(a.block_class()));
     h.u64(a.initial_state().size());
     for (const double v : a.initial_state()) h.f64(v);
-    if (a.cpp_semantics()) {
-        h.str(a.cpp_semantics()->output_body);
-        h.str(a.cpp_semantics()->update_body);
+    if (const auto cpp = lib::cpp_semantics(a)) {
+        h.str(cpp->output_body);
+        h.str(cpp->update_body);
     } else {
         h.u8(0);
     }

@@ -1,9 +1,12 @@
 #include "sbd/block.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+
+#include "sbd/library.hpp"
 
 namespace sbd {
 
@@ -16,8 +19,8 @@ std::string cpp_double_literal(double x) {
                       static_cast<unsigned long long>(bits));
         return buf;
     }
-    std::snprintf(buf, sizeof buf, "%.17g", x);
-    std::string s(buf);
+    // to_chars with a precision prints exactly what printf's "%.17g" does.
+    std::string s(buf, std::to_chars(buf, buf + sizeof buf, x, std::chars_format::general, 17).ptr);
     if (s.find_first_of(".eE") == std::string::npos) s += ".0";
     return s;
 }
@@ -67,13 +70,23 @@ AtomicBlock::AtomicBlock(std::string type_name, std::vector<std::string> inputs,
         throw ModelError("block '" + this->type_name() + "' with outputs needs an output function");
 }
 
+AtomicBlock::AtomicBlock(std::string type_name, std::vector<std::string> inputs,
+                         std::vector<std::string> outputs, BlockClass cls,
+                         std::vector<double> init_state, lib::Atom atom)
+    : Block(std::move(type_name), std::move(inputs), std::move(outputs)),
+      class_(cls),
+      init_state_(std::move(init_state)),
+      atom_(std::move(atom)) {}
+
 void AtomicBlock::compute_outputs(std::span<const double> state, std::span<const double> inputs,
                                   std::span<double> outputs) const {
-    if (output_fn_) output_fn_(state, inputs, outputs);
+    if (atom_.op != lib::Op::Custom) lib::compute_outputs(atom_, state, inputs, outputs);
+    else if (output_fn_) output_fn_(state, inputs, outputs);
 }
 
 void AtomicBlock::update_state(std::span<double> state, std::span<const double> inputs) const {
-    if (update_fn_) update_fn_(state, inputs);
+    if (atom_.op != lib::Op::Custom) lib::update_state(atom_, state, inputs);
+    else if (update_fn_) update_fn_(state, inputs);
 }
 
 std::string to_string(const Endpoint& e) {

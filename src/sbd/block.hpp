@@ -81,25 +81,37 @@ private:
     SourceLoc def_loc_;
 };
 
-/// C++ source form of an atomic block's semantics, used by the C++ emitter
-/// so that generated code is compilable stand-alone. Bodies are statement
-/// lists over variables u0,u1,... (inputs), s0,s1,... (state) and
-/// y0,y1,... (outputs). Only std::size_t, std::array, std::min, std::max,
-/// std::clamp and std::fabs may be used: the native backend's header-free
-/// prelude provides exactly these.
-struct CppSemantics {
-    std::string output_body; ///< assigns y*; reads u*, s*
-    std::string update_body; ///< assigns s*; reads u*, s* (sequential only)
-};
-
 /// A C++ expression for `x` that reads back bit-exactly: "%.17g" (with
 /// ".0" appended to integers) when finite, and __builtin_bit_cast over the
 /// raw bits otherwise, since `inf` and `nan` are not C++ tokens.
 std::string cpp_double_literal(double x);
 
+namespace lib {
+
+/// The block library's atomic operations (src/sbd/library.hpp defines
+/// each); `Custom` is an in-process block given by its own functions.
+enum class Op : std::uint8_t {
+    Constant, Gain, Sum, Product, UnitDelay, Integrator, Fir2, Saturation, Abs, Div, Min, Max,
+    Relational, Switch, Logic, DeadZone, Lookup1D, MovingAvg, Filter1, Counter, Fanout,
+    SampleHold, Split2, Clock, Custom,
+};
+
+/// A library atom: an op with its parameters. `nums` holds the numbers
+/// (counts included) in .sbd spec order, Lookup1D's breakpoints then its
+/// values; `word` holds the Sum signs or the Relational/Logic operator.
+struct Atom {
+    Op op = Op::Custom;
+    std::vector<double> nums;
+    std::string word;
+};
+
+} // namespace lib
+
 /// An atomic block with executable synchronous semantics:
 ///   outputs(k) = output_fn(state(k), inputs(k))   (inputs ignored if Moore)
 ///   state(k+1) = update_fn(state(k), inputs(k))   (sequential only)
+/// A library block reaches its functions through its op (lib::make); a
+/// Custom block carries them.
 class AtomicBlock final : public Block {
 public:
     /// Computes outputs from state and current inputs. For Moore-sequential
@@ -111,35 +123,31 @@ public:
     /// Advances the state at the end of the synchronous instant.
     using UpdateFn = std::function<void(std::span<double> state, std::span<const double> inputs)>;
 
+    /// A Custom block.
     AtomicBlock(std::string type_name, std::vector<std::string> inputs,
                 std::vector<std::string> outputs, BlockClass cls, std::vector<double> init_state,
                 OutputFn output_fn, UpdateFn update_fn);
+    /// A library block; lib::make derives its name and shape from `atom`.
+    AtomicBlock(std::string type_name, std::vector<std::string> inputs,
+                std::vector<std::string> outputs, BlockClass cls, std::vector<double> init_state,
+                lib::Atom atom);
 
     bool is_atomic() const override { return true; }
     BlockClass block_class() const override { return class_; }
 
     const std::vector<double>& initial_state() const { return init_state_; }
+    const lib::Atom& atom() const { return atom_; }
 
     void compute_outputs(std::span<const double> state, std::span<const double> inputs,
                          std::span<double> outputs) const;
     void update_state(std::span<double> state, std::span<const double> inputs) const;
 
-    /// Attaches emit-time C++ semantics (call before sharing the block).
-    void set_cpp_semantics(CppSemantics cpp) { cpp_ = std::move(cpp); }
-    const std::optional<CppSemantics>& cpp_semantics() const { return cpp_; }
-
-    /// The block's .sbd type spec ("Gain 2"), set by the standard library
-    /// factories and used by the textual serializer; empty for custom blocks.
-    void set_text_spec(std::string spec) { text_spec_ = std::move(spec); }
-    const std::string& text_spec() const { return text_spec_; }
-
 private:
     BlockClass class_;
     std::vector<double> init_state_;
+    lib::Atom atom_;
     OutputFn output_fn_;
     UpdateFn update_fn_;
-    std::optional<CppSemantics> cpp_;
-    std::string text_spec_;
 };
 
 /// A reference to a port in the internal diagram of a macro block.

@@ -1,6 +1,8 @@
 #include "sbd/flatten.hpp"
 
 #include <cassert>
+#include <functional>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -53,8 +55,10 @@ private:
 
         // Resolves a source endpoint of `m` to a source endpoint of the
         // result (macro input, or output of a new atomic sub), following
-        // pass-through wires of flattened macro subs.
-        auto resolve = [&](Endpoint src) -> Endpoint {
+        // pass-through wires of flattened macro subs. A triggered sub holds
+        // its outputs, pass-throughs too: those resolve to a triggered Fanout1.
+        std::map<std::pair<std::int32_t, std::int32_t>, std::int32_t> holds;
+        std::function<Endpoint(Endpoint)> resolve = [&](Endpoint src) -> Endpoint {
             std::set<std::pair<std::int32_t, std::int32_t>> visited;
             for (;;) {
                 if (src.kind == Endpoint::Kind::MacroInput) return src;
@@ -71,12 +75,23 @@ private:
                                     new_atomic[s][inner->src.sub], inner->src.port};
                 // Pass-through: f's output comes straight from f's input
                 // `inner->src.port`; chase the wire feeding that input of s.
-                if (!visited.insert({src.sub, inner->src.port}).second)
-                    throw ModelError("cycle of pass-through wires in macro '" + m.type_name() +
-                                     "'");
                 const Connection* outer = m.writer_of(Endpoint{
                     Endpoint::Kind::SubInput, src.sub, inner->src.port});
                 assert(outer != nullptr); // m validated
+                if (m.sub(s).trigger) {
+                    const auto [it, fresh] = holds.try_emplace({src.sub, src.port}, -1);
+                    if (fresh) {
+                        it->second = result->add_sub(
+                            m.sub(s).name + "/hold/" + f.output_name(src.port), lib::fanout(1));
+                        result->connect(resolve(outer->src),
+                                        Endpoint{Endpoint::Kind::SubInput, it->second, 0});
+                        result->set_trigger(it->second, resolve(*m.sub(s).trigger));
+                    }
+                    return Endpoint{Endpoint::Kind::SubOutput, it->second, 0};
+                }
+                if (!visited.insert({src.sub, inner->src.port}).second)
+                    throw ModelError("cycle of pass-through wires in macro '" + m.type_name() +
+                                     "'");
                 src = outer->src;
             }
         };

@@ -2,6 +2,8 @@
 #define SBD_SBD_LIBRARY_HPP
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,23 +69,55 @@ AtomicPtr splitter2(double a1, double b1, double a2, double b2);
 /// 2008a: a block triggered by clock_divider(n) runs at 1/n rate.
 AtomicPtr clock_divider(std::size_t period, std::size_t phase = 0);
 
-/// Generic stateless block with custom arity and semantics. `cpp`
-/// optionally supplies emit-time C++ bodies (see CppSemantics).
-AtomicPtr make_combinational(
-    std::string name, std::vector<std::string> inputs, std::vector<std::string> outputs,
-    AtomicBlock::OutputFn fn, CppSemantics cpp = {}, std::string text_spec = {});
+/// One row of the op table: the op's .sbd type name and its parameter
+/// shape, one character per parameter: 'n' a number, 'k' a count (a
+/// non-negative integer), 'w' a word; "/" is Lookup1D's `xs.. / ys..`.
+struct OpRow { Op op; const char* name; const char* params; };
+
+/// Every library op, in Op order.
+std::span<const OpRow> op_table();
+
+/// The block for a library atom. Throws ModelError when the parameters are
+/// invalid (an unknown operator word, a count out of range, ...).
+AtomicPtr make(Atom atom);
+
+/// Library semantics, one switch per op: the interpreter's firing.
+void compute_outputs(const Atom& atom, std::span<const double> state,
+                     std::span<const double> inputs, std::span<double> outputs);
+void update_state(const Atom& atom, std::span<double> state, std::span<const double> inputs);
+
+/// C++ source form of an atomic block's semantics, used by the C++ emitter
+/// so that generated code is compilable stand-alone. Bodies are statement
+/// lists over variables u0,u1,... (inputs), s0,s1,... (state) and
+/// y0,y1,... (outputs). Only std::size_t, std::array, std::min, std::max,
+/// std::clamp and std::fabs may be used: the native backend's header-free
+/// prelude provides exactly these.
+struct CppSemantics {
+    std::string output_body; ///< assigns y*; reads u*, s*
+    std::string update_body; ///< assigns s*; reads u*, s* (sequential only)
+};
+
+/// The block's C++ semantics, printed from its op; nullopt for a Custom
+/// block (and for a library block whose bodies are both empty).
+std::optional<CppSemantics> cpp_semantics(const AtomicBlock& a);
+
+/// The block's .sbd type spec ("Gain 2"), printed from its op; empty for a
+/// Custom block.
+std::string sbd_spec(const AtomicBlock& a);
+
+/// Custom blocks: generic stateless block with custom arity and semantics.
+AtomicPtr make_combinational(std::string name, std::vector<std::string> inputs,
+                             std::vector<std::string> outputs, AtomicBlock::OutputFn fn);
 
 /// Generic Moore-sequential block (outputs read state only).
 AtomicPtr make_moore(std::string name, std::vector<std::string> inputs,
                      std::vector<std::string> outputs, std::vector<double> init_state,
-                     AtomicBlock::OutputFn output_fn, AtomicBlock::UpdateFn update_fn,
-                     CppSemantics cpp = {}, std::string text_spec = {});
+                     AtomicBlock::OutputFn output_fn, AtomicBlock::UpdateFn update_fn);
 
 /// Generic non-Moore sequential block.
 AtomicPtr make_sequential(std::string name, std::vector<std::string> inputs,
                           std::vector<std::string> outputs, std::vector<double> init_state,
-                          AtomicBlock::OutputFn output_fn, AtomicBlock::UpdateFn update_fn,
-                          CppSemantics cpp = {}, std::string text_spec = {});
+                          AtomicBlock::OutputFn output_fn, AtomicBlock::UpdateFn update_fn);
 
 } // namespace sbd::lib
 

@@ -1,7 +1,8 @@
 #include "sbd/text_format.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
-#include <functional>
 #include <sstream>
 
 #include "graph/digraph.hpp"
@@ -76,54 +77,24 @@ double num(const Token& t) {
     return v;
 }
 
-std::size_t natural(const Token& t) {
+/// A count parameter: an integer in [0, 2^64). The range is checked on
+/// the double, because casting NaN or an out-of-range value is undefined.
+double natural(const Token& t) {
     const double v = num(t);
-    if (v < 0 || v != static_cast<double>(static_cast<std::size_t>(v)))
+    if (!(v >= 0 && v < 0x1p64 && v == std::floor(v)))
         fail(t, "SBD002", "expected a non-negative integer, got '" + t.text + "'");
-    return static_cast<std::size_t>(v);
+    return v;
 }
 
-/// Builds an atomic block from its type token and parameter tokens.
+/// Builds an atomic block from its type token and parameter tokens, read
+/// by the op table's parameter shape.
 BlockPtr make_atomic(const Token& type, std::span<const Token> params) {
-    const auto want = [&](std::size_t n) {
-        if (params.size() != n)
-            fail(type, "SBD002", type.text + " expects " + std::to_string(n) +
-                                     " parameter(s), got " + std::to_string(params.size()));
-    };
-    const std::string& t = type.text;
-    if (t == "Constant") { want(1); return lib::constant(num(params[0])); }
-    if (t == "Gain") { want(1); return lib::gain(num(params[0])); }
-    if (t == "Sum") { want(1); return lib::sum(params[0].text); }
-    if (t == "Product") { want(1); return lib::product(natural(params[0])); }
-    if (t == "UnitDelay") { want(1); return lib::unit_delay(num(params[0])); }
-    if (t == "Integrator") { want(2); return lib::integrator(num(params[0]), num(params[1])); }
-    if (t == "Fir2") { want(2); return lib::fir2(num(params[0]), num(params[1])); }
-    if (t == "Saturation") { want(2); return lib::saturation(num(params[0]), num(params[1])); }
-    if (t == "Abs") { want(0); return lib::abs_block(); }
-    if (t == "Div") { want(0); return lib::divide(); }
-    if (t == "Min") { want(0); return lib::min_block(); }
-    if (t == "Max") { want(0); return lib::max_block(); }
-    if (t == "Relational") { want(1); return lib::relational(params[0].text); }
-    if (t == "Switch") { want(1); return lib::switch_block(num(params[0])); }
-    if (t == "Logic") { want(2); return lib::logic(params[0].text, natural(params[1])); }
-    if (t == "DeadZone") { want(2); return lib::dead_zone(num(params[0]), num(params[1])); }
-    if (t == "MovingAvg") { want(1); return lib::moving_average(natural(params[0])); }
-    if (t == "Filter1") {
-        want(3);
-        return lib::first_order_filter(num(params[0]), num(params[1]), num(params[2]));
-    }
-    if (t == "Counter") { want(0); return lib::counter(); }
-    if (t == "Fanout") { want(1); return lib::fanout(natural(params[0])); }
-    if (t == "SampleHold") { want(1); return lib::sample_hold(num(params[0])); }
-    if (t == "Clock") {
-        want(2);
-        return lib::clock_divider(natural(params[0]), natural(params[1]));
-    }
-    if (t == "Split2") {
-        want(4);
-        return lib::splitter2(num(params[0]), num(params[1]), num(params[2]), num(params[3]));
-    }
-    if (t == "Lookup1D") {
+    const auto ops = lib::op_table();
+    const auto row = std::find_if(ops.begin(), ops.end(),
+                                  [&](const lib::OpRow& r) { return type.text == r.name; });
+    if (row == ops.end()) fail(type, "SBD002", "unknown block type '" + type.text + "'");
+    const std::string_view shape = row->params;
+    if (shape == "/") {
         std::vector<double> xs, ys;
         bool after_slash = false;
         for (const Token& p : params) {
@@ -133,7 +104,15 @@ BlockPtr make_atomic(const Token& type, std::span<const Token> params) {
         if (!after_slash) fail(type, "SBD002", "Lookup1D needs 'x.. / y..'");
         return lib::lookup1d(std::move(xs), std::move(ys));
     }
-    fail(type, "SBD002", "unknown block type '" + t + "'");
+    if (params.size() != shape.size())
+        fail(type, "SBD002", type.text + " expects " + std::to_string(shape.size()) +
+                                 " parameter(s), got " + std::to_string(params.size()));
+    lib::Atom atom{row->op, {}, {}};
+    for (std::size_t i = 0; i < shape.size(); ++i) {
+        if (shape[i] == 'w') atom.word = params[i].text;
+        else atom.nums.push_back(shape[i] == 'k' ? natural(params[i]) : num(params[i]));
+    }
+    return lib::make(std::move(atom));
 }
 
 /// Index of `name` in `names`, or nullopt (used for extern port lookups
@@ -615,10 +594,11 @@ void write_block(const MacroBlock& m, std::ostream& os,
             os << emitted.at(m.sub(s).type.get());
         } else {
             const auto& a = static_cast<const AtomicBlock&>(*m.sub(s).type);
-            if (a.text_spec().empty())
+            const std::string spec = lib::sbd_spec(a);
+            if (spec.empty())
                 throw ModelError("sbd writer: custom atomic block '" + a.type_name() +
                                  "' has no textual spec");
-            os << a.text_spec();
+            os << spec;
         }
         os << "\n";
     }

@@ -4,8 +4,6 @@
 
 namespace sbd::suite {
 
-using lib::make_combinational;
-
 namespace {
 
 /// A(x) -> (z1, z2): the 1-in/2-out combinational splitter of Figure 1.

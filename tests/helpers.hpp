@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -24,6 +26,10 @@ inline std::vector<std::vector<double>> random_trace(std::size_t num_inputs, std
     return trace;
 }
 
+/// The bits of `x`: oracle comparisons are bitwise, so 0.0 vs -0.0 and
+/// one-ULP differences fail, and NaN matches NaN of the same bits.
+inline std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
 /// The central semantic property of the whole framework: executing the
 /// modularly generated code (any clustering method) for T instants produces
 /// exactly the trace of the reference simulator on the flattened diagram.
@@ -37,9 +43,9 @@ inline void expect_equivalent(const std::shared_ptr<const MacroBlock>& block,
         const auto got = inst.step_instant(trace[t]);
         ASSERT_EQ(got.size(), expected[t].size());
         for (std::size_t o = 0; o < got.size(); ++o)
-            ASSERT_DOUBLE_EQ(got[o], expected[t][o])
-                << "method=" << codegen::to_string(method) << " t=" << t << " output=" << o
-                << " block=" << block->type_name();
+            ASSERT_EQ(bits(got[o]), bits(expected[t][o]))
+                << got[o] << " vs " << expected[t][o] << " method=" << codegen::to_string(method)
+                << " t=" << t << " output=" << o << " block=" << block->type_name();
     }
 }
 

@@ -28,8 +28,10 @@
 #include "analysis/cost.hpp"
 #include "analysis/lint.hpp"
 #include "core/compiler.hpp"
+#include "core/emit_cpp.hpp"
 #include "core/exec.hpp"
 #include "runtime/engine.hpp"
+#include "sbd/library.hpp"
 #include "sbd/text_format.hpp"
 #include "suite/models.hpp"
 #include "suite/random_models.hpp"
@@ -296,6 +298,98 @@ TEST(AbsintSoundness, RandomDeepHierarchies) {
     EXPECT_GE(executed, 120u);
 }
 
+/// `atom` between fresh macro ports, one per atom port.
+std::shared_ptr<const MacroBlock> wrap(const BlockPtr& atom) {
+    std::vector<std::string> in, out;
+    for (std::size_t i = 0; i < atom->num_inputs(); ++i) in.push_back("x" + std::to_string(i));
+    for (std::size_t o = 0; o < atom->num_outputs(); ++o) out.push_back("y" + std::to_string(o));
+    auto m = std::make_shared<MacroBlock>("Wrap", in, out);
+    const std::int32_t a = m->add_sub("A", atom);
+    for (std::int32_t i = 0; i < static_cast<std::int32_t>(in.size()); ++i)
+        m->connect(Endpoint{Endpoint::Kind::MacroInput, -1, i},
+                   Endpoint{Endpoint::Kind::SubInput, a, i});
+    for (std::int32_t o = 0; o < static_cast<std::int32_t>(out.size()); ++o)
+        m->connect(Endpoint{Endpoint::Kind::SubOutput, a, o},
+                   Endpoint{Endpoint::Kind::MacroOutput, -1, o});
+    return m;
+}
+
+BlockPtr parse_atom(const std::string& spec) {
+    const auto file = text::parse_sbd_string("block T {\n  sub A " + spec + "\n}\n",
+                                             text::ParseMode::Lenient);
+    EXPECT_TRUE(file.issues.empty()) << spec << ": " << file.issues.front().message;
+    return file.root->sub(0).type;
+}
+
+/// check_soundness on the atom of `spec` alone, each input a diagram input.
+bool check_atom(const std::string& spec) {
+    return check_soundness(wrap(parse_atom(spec)), Method::Dynamic, 5, 64, spec);
+}
+
+TEST(AbsintSoundness, ConstantNan) { EXPECT_TRUE(check_atom("Constant nan")); }
+
+TEST(AbsintSoundness, ConstantInfinities) {
+    EXPECT_TRUE(check_atom("Constant inf"));
+    EXPECT_TRUE(check_atom("Constant -inf"));
+}
+
+TEST(AbsintSoundness, GainNan) { EXPECT_TRUE(check_atom("Gain nan")); }
+
+TEST(AbsintSoundness, UnitDelayMinusInf) { EXPECT_TRUE(check_atom("UnitDelay -inf")); }
+
+TEST(AbsintSoundness, NonFiniteThresholdsAndTables) {
+    // A NaN threshold or bound compares false for every input; a table with
+    // infinite breakpoints interpolates inf/inf = NaN between them.
+    EXPECT_TRUE(check_atom("Switch nan"));
+    EXPECT_TRUE(check_atom("DeadZone nan 10"));
+    EXPECT_TRUE(check_atom("Lookup1D -inf 0 inf / 0 1 2"));
+}
+
+// ---------------------------------------------------------------------------
+// The op table as a whole: every library op's spec, C++ text and transfer.
+// ---------------------------------------------------------------------------
+
+TEST(OpTable, EveryRowRoundTripsEmitsAndHasATransfer) {
+    std::size_t rows = 0;
+    for (const lib::OpRow& row : lib::op_table()) {
+        ++rows;
+        // Sample parameters from the row's shape.
+        std::string spec = row.name;
+        for (const char* c = row.params; *c != '\0'; ++c) {
+            if (*c == 'n') spec += " 0.5";
+            else if (*c == 'k') spec += " 3";
+            else if (*c == '/') spec += " 0 1 2 / 4 -1 6";
+            else if (row.op == lib::Op::Sum) spec += " +-+";
+            else spec += row.op == lib::Op::Logic ? " XOR" : " <=";
+        }
+        const BlockPtr block = parse_atom(spec);
+        ASSERT_TRUE(block && block->is_atomic()) << spec;
+        const auto& atom = static_cast<const AtomicBlock&>(*block);
+        EXPECT_EQ(atom.atom().op, row.op) << spec;
+
+        // The spec printed from the op parses back to the same block.
+        const std::string printed = lib::sbd_spec(atom);
+        EXPECT_EQ(printed.rfind(row.name, 0), 0u) << printed;
+        EXPECT_EQ(codegen::fingerprint_block(*parse_atom(printed)),
+                  codegen::fingerprint_block(atom))
+            << spec << " printed as " << printed;
+
+        // The C++ text is printed and emitted.
+        const auto cpp = lib::cpp_semantics(atom);
+        ASSERT_TRUE(cpp.has_value()) << spec;
+        const auto root = wrap(block);
+        const CompiledSystem sys = codegen::compile_hierarchy(root, Method::Dynamic);
+        EXPECT_NE(codegen::emit_cpp(sys).find(cpp->output_body), std::string::npos) << spec;
+
+        // absint knows the op: the first firing is never the unknown-op top.
+        Analyzer analyzer(sys);
+        const BlockSummary& sum = analyzer.analyze_root(root);
+        for (const Interval& first : sum.first_outputs)
+            EXPECT_FALSE(first == Interval::top()) << spec << " " << to_string(first);
+    }
+    EXPECT_EQ(rows, 24u);
+}
+
 // ---------------------------------------------------------------------------
 // Summary memoization.
 // ---------------------------------------------------------------------------
@@ -391,6 +485,41 @@ TEST(DeepLint, DirectiveTurnsDeepOnPerFile) {
     bool saw_023 = false;
     for (const Diagnostic& d : rep.diagnostics) saw_023 |= d.code == "SBD023";
     EXPECT_TRUE(saw_023);
+}
+
+TEST(DeepLint, NonFiniteParametersReachTheOutputs) {
+    // Constant nan, Constant inf and x + (Gain nan)*x: NaN or infinite on
+    // every instant, which the analyzer must prove from the parameters.
+    LintOptions opts;
+    opts.deep = true;
+    const LintReport rep = lint_string("block NonFinite {\n"
+                                       "  inputs x\n"
+                                       "  outputs a b c\n"
+                                       "  sub N Constant nan\n"
+                                       "  sub I Constant inf\n"
+                                       "  sub G Gain nan\n"
+                                       "  sub S Sum ++\n"
+                                       "  connect N.y a\n"
+                                       "  connect I.y b\n"
+                                       "  connect x G.u\n"
+                                       "  connect x S.u1\n"
+                                       "  connect G.y S.u2\n"
+                                       "  connect S.y c\n"
+                                       "}\n",
+                                       opts);
+    std::vector<std::string> found;
+    for (const Diagnostic& d : rep.diagnostics)
+        if (d.code == "SBD024") found.push_back(d.message);
+    ASSERT_EQ(found.size(), 3u);
+    EXPECT_NE(found[0].find("output 'a' of block 'NonFinite' is NaN on every instant"),
+              std::string::npos)
+        << found[0];
+    EXPECT_NE(found[1].find("output 'b' of block 'NonFinite' is infinite on every instant"),
+              std::string::npos)
+        << found[1];
+    EXPECT_NE(found[2].find("output 'c' of block 'NonFinite' is NaN on every instant"),
+              std::string::npos)
+        << found[2];
 }
 
 // ---------------------------------------------------------------------------

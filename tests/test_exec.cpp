@@ -11,6 +11,7 @@ namespace {
 
 using namespace sbd;
 using namespace sbd::codegen;
+using sbd::testing::bits;
 using sbd::testing::expect_equivalent;
 using sbd::testing::random_trace;
 
@@ -122,7 +123,7 @@ TEST(CallOrder, EveryPdgLinearizationGivesTheSameTrace) {
         for (std::size_t t = 0; t < trace.size(); ++t) {
             const auto got = inst.step_instant_ordered(trace[t], order);
             for (std::size_t o = 0; o < got.size(); ++o)
-                ASSERT_DOUBLE_EQ(got[o], expected[t][o]);
+                ASSERT_EQ(bits(got[o]), bits(expected[t][o])) << got[o] << " vs " << expected[t][o];
         }
     }
 }

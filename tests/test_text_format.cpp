@@ -181,6 +181,21 @@ INSTANTIATE_TEST_SUITE_P(
                                "connect x y }"}),
     [](const auto& info) { return info.param.name; });
 
+TEST(SbdParse, CountsAreRangeCheckedBeforeTheCast) {
+    // NaN and values of 2^64 and above have no size_t, and casting them is
+    // undefined: each must get a coded SBD002 before any cast.
+    for (const char* spec : {"Product nan", "Fanout 1e30", "Product 99999999999999999999",
+                             "Clock 4 -inf", "MovingAvg 2.5"}) {
+        const auto file = text::parse_sbd_string(
+            std::string("block M {\n  sub B ") + spec + "\n}\n", text::ParseMode::Lenient);
+        ASSERT_EQ(file.issues.size(), 1u) << spec;
+        EXPECT_EQ(file.issues[0].code, "SBD002") << spec;
+        EXPECT_NE(file.issues[0].message.find("expected a non-negative integer"),
+                  std::string::npos)
+            << spec << ": " << file.issues[0].message;
+    }
+}
+
 TEST(SbdRoundTrip, SuiteModelsSurviveWriteParseWrite) {
     for (const auto& model : sbd::suite::demo_suite()) {
         const auto& m = static_cast<const MacroBlock&>(*model.block);

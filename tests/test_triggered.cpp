@@ -6,8 +6,10 @@
 
 #include "helpers.hpp"
 #include "core/reuse.hpp"
+#include "sbd/flatten.hpp"
 #include "sbd/library.hpp"
 #include "suite/figures.hpp"
+#include "suite/random_models.hpp"
 
 namespace {
 
@@ -265,6 +267,69 @@ TEST(Triggered, ReusabilityAccountsForTriggerDependencies) {
     const auto sys = compile_hierarchy(m, Method::Dynamic);
     const auto legal = legal_feedback_pairs(*sys.at(*m).sdg);
     EXPECT_TRUE(legal.empty()); // y depends on both u and t
+}
+
+// ------------------------------------------------ pass-through of a trigger
+// A triggered macro sub holds every output while its trigger is low, also
+// an output wired straight from one of its inputs. The oracle (the
+// simulator over the flattened diagram) once read such a wire through.
+
+/// (x, t) -> y through a triggered pure pass-through sub; the minimized
+/// form of random_model seed 299 in the probe below.
+std::shared_ptr<const MacroBlock> triggered_pass_through() {
+    auto pass = std::make_shared<MacroBlock>("Pass", std::vector<std::string>{"a"},
+                                             std::vector<std::string>{"b"});
+    pass->connect("a", "b");
+    auto m = std::make_shared<MacroBlock>("TrigPass", std::vector<std::string>{"x", "t"},
+                                          std::vector<std::string>{"y"});
+    m->add_sub("P", pass);
+    m->connect("x", "P.a");
+    m->connect("P.b", "y");
+    m->set_trigger("P", "t");
+    return m;
+}
+
+TEST(TriggeredPassThrough, OracleHoldsTheWire) {
+    const auto m = triggered_pass_through();
+    const std::vector<std::vector<double>> trace = {{3.0, 0.0}, {5.0, 1.0}, {7.0, 0.0}};
+    const auto got = sim::simulate(*m, trace);
+    EXPECT_EQ(got, (std::vector<std::vector<double>>{{0.0}, {5.0}, {5.0}}));
+    // The hold is a triggered Fanout1 named after the sub and its port.
+    const auto flat = flatten(*m);
+    const std::int32_t hold = flat->sub_index("P/hold/b");
+    EXPECT_EQ(flat->sub(static_cast<std::size_t>(hold)).type->type_name(), "Fanout1");
+    EXPECT_TRUE(flat->sub(static_cast<std::size_t>(hold)).trigger.has_value());
+    for (const Method method : {Method::Dynamic, Method::DisjointSat, Method::Monolithic})
+        sbd::testing::expect_equivalent(m, method, trace);
+}
+
+TEST(TriggeredPassThrough, RandomHierarchiesMatchTheOracleBitwise) {
+    // The probe: depth 2, 8-24 subs, trigger_probability 0.1, 16 instants,
+    // Dynamic, bitwise; model and inputs seeded with the model index.
+    std::size_t mismatches = 0;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        std::mt19937_64 rng(i);
+        suite::RandomModelParams p;
+        p.depth = 2;
+        p.subs_per_level = 8 + i % 17;
+        p.trigger_probability = 0.1;
+        const auto root = suite::random_model(rng, p);
+        const auto trace = sbd::testing::random_trace(root->num_inputs(), 16, i);
+        const auto expected = sim::simulate(*root, trace);
+        const auto sys = compile_hierarchy(root, Method::Dynamic);
+        InterpInstance inst(sys, root);
+        bool same = true;
+        for (std::size_t t = 0; t < trace.size() && same; ++t) {
+            const auto got = inst.step_instant(trace[t]);
+            for (std::size_t o = 0; o < got.size(); ++o)
+                same = same && sbd::testing::bits(got[o]) == sbd::testing::bits(expected[t][o]);
+        }
+        if (!same) {
+            ADD_FAILURE() << "random_model seed " << i << " disagrees with the oracle";
+            ++mismatches;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 } // namespace
